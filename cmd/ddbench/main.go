@@ -178,11 +178,11 @@ func run(args []string) error {
 // workers each issue mixed Get/Put/Flush/SetSpec traffic while churn
 // goroutines create and destroy pools, all against one shared manager.
 func runParallel(n int, seed int64) error {
-	m := ddcache.New(
-		ddcache.WithMode(ddcache.ModeDD),
-		ddcache.WithMemCapacity(256<<20),
-		ddcache.WithSSDCapacity(1<<30),
-	)
+	m := ddcache.NewManager(ddcache.Config{
+		Mode: ddcache.ModeDD,
+		Mem:  store.NewMem(blockdev.NewRAM("ram"), 256<<20),
+		SSD:  store.NewSSD(blockdev.NewSSD("ssd"), 1<<30),
+	})
 	res := ddcache.RunStress(m, ddcache.StressOptions{
 		VMs:          4,
 		WorkersPerVM: n,
@@ -286,11 +286,11 @@ func scalingBackends() (*ddcache.Manager, *oracle.Sequential) {
 		memCap = int64(64 << 20)
 		ssdCap = int64(256 << 20)
 	)
-	m := ddcache.New(
-		ddcache.WithMode(ddcache.ModeDD),
-		ddcache.WithMemCapacity(memCap),
-		ddcache.WithSSDCapacity(ssdCap),
-	)
+	m := ddcache.NewManager(ddcache.Config{
+		Mode: ddcache.ModeDD,
+		Mem:  store.NewMem(blockdev.NewRAM("ram"), memCap),
+		SSD:  store.NewSSD(blockdev.NewSSD("ssd"), ssdCap),
+	})
 	o := oracle.New(oracle.Config{
 		Mode: oracle.ModeDD,
 		Mem:  store.NewMem(blockdev.NewRAM("scale.ram"), memCap),

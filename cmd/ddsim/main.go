@@ -22,6 +22,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -134,7 +135,7 @@ type VMConfig struct {
 type ContainerConfig struct {
 	Name     string         `json:"name"`
 	LimitMiB int64          `json:"limitMiB"`
-	Store    string         `json:"store"` // "mem", "ssd", "hybrid"
+	Store    string         `json:"store"` // "mem", "ssd", "hybrid", "remote"
 	Weight   int            `json:"weight"`
 	Workload WorkloadConfig `json:"workload"`
 }
@@ -174,11 +175,25 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	var cfg Config
-	if err := json.Unmarshal(raw, &cfg); err != nil {
-		return fmt.Errorf("parse config: %w", err)
+	cfg, err := parseConfig(raw)
+	if err != nil {
+		return err
 	}
 	return simulate(cfg, os.Stdout)
+}
+
+// parseConfig decodes a scenario strictly: an unknown key anywhere —
+// including inside the embedded fault rules — is an error, because a
+// misspelt knob that is silently ignored runs a different scenario from
+// the one written down (fault.ParsePlan rejects them for the same reason).
+func parseConfig(raw []byte) (Config, error) {
+	var cfg Config
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&cfg); err != nil {
+		return Config{}, fmt.Errorf("parse config: %w", err)
+	}
+	return cfg, nil
 }
 
 func storeType(s string) (cgroup.StoreType, error) {
@@ -305,12 +320,12 @@ func simulate(cfg Config, out *os.File) error {
 		}
 	}
 	if dc := cfg.Deadlines; dc != nil {
-		hcfg.OpBudget = time.Duration(dc.BudgetMicros) * time.Microsecond
+		hcfg.Transport.OpBudget = time.Duration(dc.BudgetMicros) * time.Microsecond
 		hcfg.WatchdogPeriod = time.Duration(dc.WatchdogPeriodMicros) * time.Microsecond
 	}
 	if lc := cfg.Limits; lc != nil {
-		hcfg.MaxInflightGets = lc.MaxInflightGets
-		hcfg.MaxQueuedOps = lc.MaxQueuedOps
+		hcfg.Transport.MaxInflightGets = lc.MaxInflightGets
+		hcfg.Transport.MaxQueuedOps = lc.MaxQueuedOps
 		hcfg.MaxInflightOps = lc.MaxInflightOps
 	}
 	var inj *fault.Injector
@@ -372,10 +387,9 @@ func simulate(cfg Config, out *os.File) error {
 	for _, t := range all {
 		cs := t.container.CacheStats()
 		g := t.container.Group()
-		vm := cleancache.VMID(t.vmID)
 		pool := cleancache.PoolID(g.PoolID())
 		tierMiB := func(st cgroup.StoreType) float64 {
-			return float64(host.Manager().PoolStoreBytes(vm, pool, st)) / float64(mib)
+			return float64(host.Manager().PoolUsedBytes(pool, st)) / float64(mib)
 		}
 		fmt.Fprintf(out, "%-4d %-12s %10.1f %10.2f %10.1f %10.1f %11.1f %12.1f %10d %10.1f\n",
 			t.vmID, t.container.Name(),

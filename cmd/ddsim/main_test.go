@@ -1,15 +1,14 @@
 package main
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
 func TestExampleConfigParses(t *testing.T) {
-	var cfg Config
-	if err := json.Unmarshal([]byte(exampleConfig), &cfg); err != nil {
+	cfg, err := parseConfig([]byte(exampleConfig))
+	if err != nil {
 		t.Fatalf("example config invalid: %v", err)
 	}
 	if len(cfg.VMs) == 0 {
@@ -17,8 +16,26 @@ func TestExampleConfigParses(t *testing.T) {
 	}
 }
 
+// TestUnknownKeysRejected: a misspelt knob must fail the parse, not run
+// a scenario that silently ignores it — at the host level and inside the
+// embedded fault rules alike.
+func TestUnknownKeysRejected(t *testing.T) {
+	for _, raw := range []string{
+		`{"host": {"mode": "dd", "memCacheMB": 64}}`,
+		`{"host": {"noPipline": true}}`,
+		`{"faults": {"rules": [{"site": "host-ssd.write", "kind": "io-error", "probability": 1}]}}`,
+	} {
+		if _, err := parseConfig([]byte(raw)); err == nil {
+			t.Errorf("config with an unknown key accepted: %s", raw)
+		}
+	}
+	if _, err := parseConfig([]byte(`{"host": {"mode": "dd", "memCacheMiB": 64}}`)); err != nil {
+		t.Errorf("well-formed config rejected: %v", err)
+	}
+}
+
 func TestStoreTypeParsing(t *testing.T) {
-	for _, s := range []string{"", "mem", "ssd", "hybrid"} {
+	for _, s := range []string{"", "mem", "ssd", "hybrid", "remote"} {
 		if _, err := storeType(s); err != nil {
 			t.Fatalf("storeType(%q): %v", s, err)
 		}

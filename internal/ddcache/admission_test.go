@@ -16,11 +16,11 @@ import (
 // misses, never errors), control ops and flushes must always be
 // admitted, and the inflight gauge must drain to zero.
 func TestAdmissionBudgetShedsDataPathOnly(t *testing.T) {
-	m := New(
-		WithMode(ModeDD),
-		WithMemBackend(store.NewMem(blockdev.NewRAM("ram"), 64<<20)),
-		WithMaxInflightOps(1),
-	)
+	m := NewManager(Config{
+		Mode:           ModeDD,
+		Mem:            store.NewMem(blockdev.NewRAM("ram"), 64<<20),
+		MaxInflightOps: 1,
+	})
 	m.RegisterVM(1, 100)
 	resp := m.Dispatch(0, cleancache.Request{Op: cleancache.OpCreateCgroup, VM: 1, Name: "c"})
 	if !resp.Ok {
@@ -98,10 +98,7 @@ func TestAdmissionBudgetShedsDataPathOnly(t *testing.T) {
 // TestAdmissionOffShedsNothing: the default (budget 0) must be a strict
 // no-op — the oracle-differential suites rely on it.
 func TestAdmissionOffShedsNothing(t *testing.T) {
-	m := New(
-		WithMode(ModeDD),
-		WithMemBackend(store.NewMem(blockdev.NewRAM("ram"), 64<<20)),
-	)
+	m := NewManager(Config{Mode: ModeDD, Mem: store.NewMem(blockdev.NewRAM("ram"), 64<<20)})
 	m.RegisterVM(1, 100)
 	resp := m.Dispatch(0, cleancache.Request{Op: cleancache.OpCreateCgroup, VM: 1, Name: "c"})
 	pool := resp.Pool

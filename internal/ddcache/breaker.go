@@ -183,6 +183,16 @@ func (b *breaker) onFailure(now time.Duration) {
 	}
 }
 
+// feed reports a device operation's outcome at virtual time now.
+// Nil-safe.
+func (b *breaker) feed(now time.Duration, err error) {
+	if err != nil {
+		b.onFailure(now)
+	} else {
+		b.onSuccess()
+	}
+}
+
 // tripLocked moves the breaker to open. Requires b.mu.
 //
 // ddlint:requires-lock mu

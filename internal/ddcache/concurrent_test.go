@@ -82,7 +82,7 @@ func TestConcurrentCapacityShrink(t *testing.T) {
 		defer close(done)
 		sizes := []int64{48 << 20, 16 << 20, 32 << 20, 64 << 20}
 		for i := 0; i < 200; i++ {
-			m.SetMemCapacity(0, sizes[i%len(sizes)])
+			m.SetCapacity(0, cgroup.StoreMem, sizes[i%len(sizes)])
 		}
 	}()
 	RunStress(m, StressOptions{

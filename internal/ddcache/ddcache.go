@@ -44,19 +44,21 @@
 //   - The cross-VM content-reference table used by deduplication is an
 //     N-way sharded hash table (see dedup.go): contentKey hashes select
 //     a shard mutex, replacing the old manager-global dedupMu.
-//   - Capacity enforcement batches under a per-store eviction token
-//     (Manager.evictTokens, one slot per tier), so at most one evictor
-//     per store runs Algorithm 1 at a time while readers and same-store
-//     putters keep flowing.
+//   - Everything the manager knows about one tier — its backend, its
+//     circuit breaker, its eviction token — is one row of the tier table
+//     (Manager.tiers, built once in NewManager). Capacity enforcement
+//     batches under the row's token, so at most one evictor per store
+//     runs Algorithm 1 at a time while readers and same-store putters
+//     keep flowing.
 //
 // The lock hierarchy, from outermost to innermost:
 //
 //  1. Manager.configMu — serializes configuration/structural operations
 //     (VM registration, pool create/destroy, weight/spec/capacity
 //     changes). Never taken by data-path operations.
-//  2. Eviction tokens (Manager.evictTokens, one per tier) — one evictor
-//     per store. Taken with configMu held (capacity shrink) or with no
-//     lock held (Put slow path, demotion drain).
+//  2. Eviction tokens (tier.token, one per row of Manager.tiers) — one
+//     evictor per store. Taken with configMu held (capacity shrink) or
+//     with no lock held (Put slow path, demotion drain).
 //  3. vmState.mu — one VM's pool indexes and liveness flags. Cross-VM
 //     migration acquires two VM locks in VM-id order; every other
 //     operation holds at most one.
@@ -65,12 +67,11 @@
 //
 // The order is machine-checked: ddlint's lockorder analyzer verifies
 // every acquisition (including through callees) against the chains
-// below, with all eviction tokens folded onto one level under the
-// Manager.evictToken alias.
+// below; every tier's token is the one node tier.token.
 //
-// ddlint:lock-order Manager.configMu < Manager.evictToken < vmState.mu < dedupShard.mu
-// ddlint:lock-order Manager.configMu < Manager.evictToken < vmState.mu < breaker.mu
-// ddlint:lock-order Manager.configMu < Manager.evictToken < vmState.mu < demoteQueue.mu
+// ddlint:lock-order Manager.configMu < tier.token < vmState.mu < dedupShard.mu
+// ddlint:lock-order Manager.configMu < tier.token < vmState.mu < breaker.mu
+// ddlint:lock-order Manager.configMu < tier.token < vmState.mu < demoteQueue.mu
 //
 // A goroutine may hold an epoch that a concurrent configuration change
 // has already superseded. That is safe by construction: epochs are
@@ -266,23 +267,11 @@ type Manager struct {
 	// dedup is the sharded cross-VM content-reference table (leaf locks).
 	dedup *dedupTable
 
-	// evictTokens are the per-store eviction tokens (level 2), indexed
-	// by entSlot: capacity enforcement for a store batches under its
-	// token instead of blocking readers store-wide. Generalized from the
-	// old evictMemMu/evictSSDMu pair so every tier — including remote —
-	// gets its own token.
-	evictTokens [entSlots]sync.Mutex
-
-	// ssdBreaker guards the SSD store against a failing device: after
-	// Config.Breaker.Threshold errors in the sliding window, SSD traffic
-	// is shed (puts degrade to memory or are rejected, SSD-resident gets
-	// miss) until half-open probes re-admit the device. The breaker is
-	// self-locking (its mutex is a leaf below the VM locks) and nil only
-	// when no SSD store is configured.
-	ssdBreaker *breaker
-	// remoteBreaker plays the same role for the remote tier (nil when no
-	// remote backend is configured); see Config.RemoteBreaker.
-	remoteBreaker *breaker
+	// tiers is the tier table, indexed by entSlot and immutable after
+	// NewManager apart from each row's token. Slots no tier of tierOrder
+	// maps to (unknown, hybrid) stay zero: no backend, so nothing is ever
+	// placed, fetched or enforced there.
+	tiers [entSlots]tier
 
 	// demote is the write-behind demotion queue (see demote.go); nil
 	// unless a remote backend is configured in ModeDD.
@@ -299,6 +288,24 @@ type Manager struct {
 	shedOps     atomic.Int64
 }
 
+// tier is one row of the manager's tier table.
+type tier struct {
+	kind cgroup.StoreType
+	// be is the tier's store; nil when the tier is not configured.
+	be store.Backend
+	// breaker guards be against a failing device: after Threshold errors
+	// in the sliding window the tier's traffic is shed (placements walk
+	// up to a faster tier or are rejected, resident gets miss) until
+	// half-open probes re-admit the device. Self-locking (a leaf below
+	// the VM locks); nil for memory and for unconfigured tiers, and a nil
+	// breaker allows all traffic.
+	breaker *breaker
+	// token is the tier's eviction token (level 2 of the hierarchy):
+	// capacity enforcement batches under it instead of blocking readers
+	// store-wide.
+	token sync.Mutex
+}
+
 // contentKey identifies one deduplicated physical copy.
 type contentKey struct {
 	store   cgroup.StoreType
@@ -307,10 +314,8 @@ type contentKey struct {
 
 var _ cleancache.Backend = (*Manager)(nil)
 
-// NewManager returns a manager over the configured stores.
-//
-// Deprecated: use New with functional options (WithMode, WithMemCapacity,
-// WithSSDBackend, ...). NewManager is kept as a shim for one release.
+// NewManager returns a manager over the configured stores; zero Config
+// fields select the documented defaults.
 func NewManager(cfg Config) *Manager {
 	if cfg.EvictBatchBytes <= 0 {
 		cfg.EvictBatchBytes = DefaultEvictBatch
@@ -330,14 +335,26 @@ func NewManager(cfg Config) *Manager {
 		dedup:    newDedupTable(cfg.DedupShards),
 	}
 	m.epoch.Store(emptyEpoch())
-	if cfg.SSD != nil {
-		m.ssdBreaker = newBreaker(cfg.Breaker, cfg.Metrics, "breaker.ssd")
-	}
-	if cfg.Remote != nil {
-		m.remoteBreaker = newBreaker(cfg.RemoteBreaker, cfg.Metrics, "breaker.remote")
-		if m.cfg.Mode == ModeDD {
-			m.demote = newDemoteQueue(m.cfg.Demotion)
+	// The tier table: the one place a tier's backend, breaker tuning and
+	// metric prefix are named. Memory has no breaker.
+	for _, row := range []struct {
+		kind    cgroup.StoreType
+		be      store.Backend
+		breaker *BreakerConfig
+		metric  string
+	}{
+		{cgroup.StoreMem, cfg.Mem, nil, ""},
+		{cgroup.StoreSSD, cfg.SSD, &cfg.Breaker, "breaker.ssd"},
+		{cgroup.StoreRemote, cfg.Remote, &cfg.RemoteBreaker, "breaker.remote"},
+	} {
+		t := m.tier(row.kind)
+		t.kind, t.be = row.kind, row.be
+		if row.be != nil && row.breaker != nil {
+			t.breaker = newBreaker(*row.breaker, cfg.Metrics, row.metric)
 		}
+	}
+	if cfg.Remote != nil && cfg.Mode == ModeDD {
+		m.demote = newDemoteQueue(cfg.Demotion)
 	}
 	return m
 }
@@ -345,32 +362,8 @@ func NewManager(cfg Config) *Manager {
 // Mode reports the configured container-awareness mode.
 func (m *Manager) Mode() Mode { return m.cfg.Mode }
 
-// backend returns the store for st (hybrid resolves elsewhere).
-func (m *Manager) backend(st cgroup.StoreType) store.Backend {
-	switch st {
-	case cgroup.StoreMem:
-		return m.cfg.Mem
-	case cgroup.StoreSSD:
-		return m.cfg.SSD
-	case cgroup.StoreRemote:
-		return m.cfg.Remote
-	default:
-		return nil
-	}
-}
-
-// tierBreaker returns the circuit breaker guarding st, or nil for tiers
-// without one (nil breakers allow all traffic).
-func (m *Manager) tierBreaker(st cgroup.StoreType) *breaker {
-	switch st {
-	case cgroup.StoreSSD:
-		return m.ssdBreaker
-	case cgroup.StoreRemote:
-		return m.remoteBreaker
-	default:
-		return nil
-	}
-}
+// tier returns st's row of the tier table (hybrid resolves elsewhere).
+func (m *Manager) tier(st cgroup.StoreType) *tier { return &m.tiers[entSlot(st)] }
 
 // --- host administrator interface -----------------------------------------
 
@@ -412,28 +405,12 @@ func (m *Manager) SetVMWeight(id cleancache.VMID, weight int64) {
 	})
 }
 
-// SetMemCapacity resizes the memory store at runtime, evicts down to the
-// new capacity if needed, and returns the latency the resize incurred —
-// the eviction cost is charged to the configuration op, not smeared over
-// unrelated data ops.
-func (m *Manager) SetMemCapacity(now time.Duration, n int64) time.Duration {
-	return m.setCapacity(now, cgroup.StoreMem, n)
-}
-
-// SetSSDCapacity resizes the SSD store at runtime; see SetMemCapacity
-// for the latency contract.
-func (m *Manager) SetSSDCapacity(now time.Duration, n int64) time.Duration {
-	return m.setCapacity(now, cgroup.StoreSSD, n)
-}
-
-// SetRemoteCapacity resizes the remote tier at runtime; see
-// SetMemCapacity for the latency contract.
-func (m *Manager) SetRemoteCapacity(now time.Duration, n int64) time.Duration {
-	return m.setCapacity(now, cgroup.StoreRemote, n)
-}
-
-func (m *Manager) setCapacity(now time.Duration, st cgroup.StoreType, n int64) time.Duration {
-	be := m.backend(st)
+// SetCapacity resizes the st store at runtime (a no-op when the tier is
+// not configured), evicts down to the new capacity if needed, and
+// returns the latency the resize incurred — the eviction cost is charged
+// to the configuration op, not smeared over unrelated data ops.
+func (m *Manager) SetCapacity(now time.Duration, st cgroup.StoreType, n int64) time.Duration {
+	be := m.tier(st).be
 	if be == nil {
 		return 0
 	}
@@ -582,13 +559,14 @@ func (m *Manager) Get(now time.Duration, _ cleancache.VMID, key cleancache.Key) 
 		return false, lat
 	}
 	if !obj.Pending {
-		if !m.tierBreaker(obj.Store).allow(now + lat) {
+		t := m.tier(obj.Store)
+		if !t.breaker.allow(now + lat) {
 			return false, lat
 		}
-		if be := m.backend(obj.Store); be != nil {
-			flat, err := be.Fetch(now+lat, obj.Size)
+		if t.be != nil {
+			flat, err := t.be.Fetch(now+lat, obj.Size)
 			lat += flat
-			m.feedBreaker(now+lat, obj.Store, err)
+			t.breaker.feed(now+lat, err)
 			if err != nil {
 				p.idx.Remove(obj)
 				m.releaseObject(obj)
@@ -635,13 +613,14 @@ func (m *Manager) ReadAhead(now time.Duration, _ cleancache.VMID, key cleancache
 			break
 		}
 		if !obj.Pending {
-			if !m.tierBreaker(obj.Store).allow(now + lat) {
+			t := m.tier(obj.Store)
+			if !t.breaker.allow(now + lat) {
 				break
 			}
-			if be := m.backend(obj.Store); be != nil {
-				flat, err := be.Fetch(now+lat, obj.Size)
+			if t.be != nil {
+				flat, err := t.be.Fetch(now+lat, obj.Size)
 				lat += flat
-				m.feedBreaker(now+lat, obj.Store, err)
+				t.breaker.feed(now+lat, err)
 				if err != nil {
 					p.idx.Remove(obj)
 					m.releaseObject(obj)
@@ -659,27 +638,15 @@ func (m *Manager) ReadAhead(now time.Duration, _ cleancache.VMID, key cleancache
 	return n, lat
 }
 
-// feedBreaker reports a store operation's outcome to the tier's circuit
-// breaker; operations on tiers without a breaker are ignored.
-func (m *Manager) feedBreaker(now time.Duration, st cgroup.StoreType, err error) {
-	br := m.tierBreaker(st)
-	if br == nil {
-		return
-	}
-	if err != nil {
-		br.onFailure(now)
-	} else {
-		br.onSuccess()
-	}
-}
-
 // SSDBreakerStats snapshots the SSD circuit breaker's state and event
 // counters (zero-valued, state "closed", when no SSD store is configured).
-func (m *Manager) SSDBreakerStats() BreakerStats { return m.ssdBreaker.snapshot() }
+func (m *Manager) SSDBreakerStats() BreakerStats { return m.tier(cgroup.StoreSSD).breaker.snapshot() }
 
 // RemoteBreakerStats snapshots the remote tier's circuit breaker
 // (zero-valued, state "closed", when no remote backend is configured).
-func (m *Manager) RemoteBreakerStats() BreakerStats { return m.remoteBreaker.snapshot() }
+func (m *Manager) RemoteBreakerStats() BreakerStats {
+	return m.tier(cgroup.StoreRemote).breaker.snapshot()
+}
 
 // Put handles the PUT op: stores a clean page evicted by the
 // guest, evicting per Algorithm 1 when the target store is full. With
@@ -717,22 +684,21 @@ func (m *Manager) putInner(now time.Duration, _ cleancache.VMID, key cleancache.
 	}
 	p.counters.puts.Add(1)
 	lat := m.cfg.OpOverhead
-	st, stOK := m.placementStore(now, pe)
-	be := m.backend(st)
-	if !stOK || be == nil || be.CapacityBytes() <= 0 {
+	t := m.placementStore(now, pe)
+	if t == nil || t.be.CapacityBytes() <= 0 {
 		p.counters.putRejects.Add(1)
 		v.mu.Unlock()
 		return false, lat
 	}
 	dedup := m.cfg.Dedup && content != 0
-	if m.needsPhysical(st, content, dedup) && be.UsedBytes()+ObjectSize > be.CapacityBytes() {
+	if m.needsPhysical(t.kind, content, dedup) && t.be.UsedBytes()+ObjectSize > t.be.CapacityBytes() {
 		// Eviction runs under the store's eviction token; drop the VM
 		// lock (tokens are above VM locks in the hierarchy) and retry on
 		// the slow path.
 		v.mu.Unlock()
 		return m.putSlow(now, key, content, lat)
 	}
-	ok = m.commitPut(now, p, st, be, key, content, dedup, &lat)
+	ok = m.commitPut(now, p, t, key, content, dedup, &lat)
 	if !ok {
 		p.counters.putRejects.Add(1)
 	}
@@ -750,16 +716,15 @@ func (m *Manager) putSlow(now time.Duration, key cleancache.Key, content uint64,
 		return false, lat
 	}
 	p := pe.state
-	st, stOK := m.placementStore(now, pe)
-	be := m.backend(st)
-	if !stOK || be == nil || be.CapacityBytes() <= 0 {
+	t := m.placementStore(now, pe)
+	if t == nil || t.be.CapacityBytes() <= 0 {
 		p.counters.putRejects.Add(1)
 		return false, lat
 	}
 	dedup := m.cfg.Dedup && content != 0
-	if m.needsPhysical(st, content, dedup) && be.UsedBytes()+ObjectSize > be.CapacityBytes() {
-		lat += m.enforceCapacity(now+lat, st, ObjectSize)
-		if be.UsedBytes()+ObjectSize > be.CapacityBytes() {
+	if m.needsPhysical(t.kind, content, dedup) && t.be.UsedBytes()+ObjectSize > t.be.CapacityBytes() {
+		lat += m.enforceCapacity(now+lat, t.kind, ObjectSize)
+		if t.be.UsedBytes()+ObjectSize > t.be.CapacityBytes() {
 			p.counters.putRejects.Add(1)
 			return false, lat
 		}
@@ -770,7 +735,7 @@ func (m *Manager) putSlow(now time.Duration, key cleancache.Key, content uint64,
 	if p.dead {
 		return false, lat
 	}
-	if !m.commitPut(now, p, st, be, key, content, dedup, &lat) {
+	if !m.commitPut(now, p, t, key, content, dedup, &lat) {
 		p.counters.putRejects.Add(1)
 		return false, lat
 	}
@@ -793,11 +758,11 @@ func (m *Manager) needsPhysical(st cgroup.StoreType, content uint64, dedup bool)
 // accounting exactly as they were. Callers hold the pool's VM lock.
 //
 // ddlint:requires-lock mu
-func (m *Manager) commitPut(now time.Duration, p *poolState, st cgroup.StoreType, be store.Backend, key cleancache.Key, content uint64, dedup bool, lat *time.Duration) bool {
-	obj := &index.Object{Inode: key.Inode, Block: key.Block, Size: ObjectSize, Store: st, Seq: m.nextSeq.Add(1)}
+func (m *Manager) commitPut(now time.Duration, p *poolState, t *tier, key cleancache.Key, content uint64, dedup bool, lat *time.Duration) bool {
+	obj := &index.Object{Inode: key.Inode, Block: key.Block, Size: ObjectSize, Store: t.kind, Seq: m.nextSeq.Add(1)}
 	if dedup {
 		obj.Content = content
-		if m.dedup.acquire(contentKey{st, content}, ObjectSize) {
+		if m.dedup.acquire(contentKey{t.kind, content}, ObjectSize) {
 			// Shared copy: only the in-band comparison cost is paid, and
 			// no device write can fail.
 			if replaced := p.idx.Insert(obj); replaced != nil {
@@ -806,13 +771,13 @@ func (m *Manager) commitPut(now time.Duration, p *poolState, st cgroup.StoreType
 			return true
 		}
 	}
-	slat, err := be.Store(now+*lat, ObjectSize)
+	slat, err := t.be.Store(now+*lat, ObjectSize)
 	*lat += slat
-	m.feedBreaker(now+*lat, st, err)
+	t.breaker.feed(now+*lat, err)
 	if err != nil {
 		if dedup {
 			// Undo the reference taken above: the copy was never written.
-			m.dedup.undo(contentKey{st, content})
+			m.dedup.undo(contentKey{t.kind, content})
 		}
 		return false
 	}
@@ -837,7 +802,7 @@ func (m *Manager) releaseObject(obj *index.Object) {
 		m.demote.cancel(obj.Size)
 		return
 	}
-	be := m.backend(obj.Store)
+	be := m.tier(obj.Store).be
 	if be == nil {
 		return
 	}
@@ -847,42 +812,39 @@ func (m *Manager) releaseObject(obj *index.Object) {
 	be.Release(obj.Size)
 }
 
-// placementStore resolves where a pool's next object goes: its configured
-// store, or for hybrid pools memory until the pool's memory entitlement is
-// exhausted, then SSD (the paper's hybrid-mode semantics). Open breakers
-// walk placements down the fallback ladder — remote degrades to SSD (or
-// memory), SSD degrades to memory — and when no healthy tier remains, ok
-// is false and the put is rejected (the page is simply not cached —
-// cleancache-safe). Reads only epoch state and atomic accounting, so
-// callers need no lock.
-func (m *Manager) placementStore(now time.Duration, pe *epochPool) (st cgroup.StoreType, ok bool) {
-	if m.cfg.Mode == ModeGlobal {
+// placementStore resolves the tier a pool's next object goes to: its
+// configured store, or for hybrid pools memory until the pool's memory
+// entitlement is exhausted, then SSD (the paper's hybrid-mode semantics).
+// An open breaker walks the placement up tierOrder to the next faster
+// configured tier — remote degrades to SSD (or memory), SSD degrades to
+// memory. Nil means the put is rejected (the page is simply not cached —
+// cleancache-safe): the requested tier is not configured, or no healthy
+// tier remains. Reads only epoch state and atomic accounting, so callers
+// need no lock.
+func (m *Manager) placementStore(now time.Duration, pe *epochPool) *tier {
+	st := pe.spec.Store
+	switch {
+	case m.cfg.Mode == ModeGlobal:
 		// The nesting-agnostic baseline is a plain memory cache.
-		return cgroup.StoreMem, true
-	}
-	st = pe.spec.Store
-	if st == cgroup.StoreHybrid {
-		if m.cfg.Mem != nil && pe.acct.UsedBytes(cgroup.StoreMem)+ObjectSize <= pe.ent[entSlot(cgroup.StoreMem)] {
-			return cgroup.StoreMem, true
-		}
+		st = cgroup.StoreMem
+	case st == cgroup.StoreHybrid:
 		st = cgroup.StoreSSD
-	}
-	if st == cgroup.StoreRemote && !m.remoteBreaker.allow(now) {
-		if m.cfg.SSD != nil {
-			st = cgroup.StoreSSD
-		} else if m.cfg.Mem != nil {
-			return cgroup.StoreMem, true
-		} else {
-			return 0, false
+		if m.cfg.Mem != nil && pe.acct.UsedBytes(cgroup.StoreMem)+ObjectSize <= pe.ent[entSlot(cgroup.StoreMem)] {
+			st = cgroup.StoreMem
 		}
 	}
-	if st == cgroup.StoreSSD && !m.ssdBreaker.allow(now) {
-		if m.cfg.Mem != nil {
-			return cgroup.StoreMem, true
-		}
-		return 0, false
+	if m.tier(st).be == nil {
+		return nil
 	}
-	return st, true
+	reached := false
+	for i := len(tierOrder) - 1; i >= 0; i-- {
+		t := m.tier(tierOrder[i])
+		reached = reached || t.kind == st
+		if reached && t.be != nil && t.breaker.allow(now) {
+			return t
+		}
+	}
+	return nil
 }
 
 // FlushPage handles the FLUSH_PAGE op.
@@ -1004,46 +966,23 @@ func (m *Manager) PoolStats(_ cleancache.VMID, pool cleancache.PoolID) cleancach
 	return s
 }
 
-// PoolStoreBytes reports the pool's bytes resident in one tier — the
-// per-tier breakdown of PoolStats.UsedBytes. Lock-free, same snapshot
-// caveats as PoolStats.
-func (m *Manager) PoolStoreBytes(_ cleancache.VMID, pool cleancache.PoolID, st cgroup.StoreType) int64 {
-	pe, ok := m.epoch.Load().pools[pool]
-	if !ok {
-		return 0
-	}
-	return pe.acct.UsedBytes(st)
-}
-
 // --- policy: capacity enforcement and Algorithm 1 --------------------------
-
-// evictToken returns the eviction token serializing capacity
-// enforcement for st, or nil for store types that are never enforced
-// directly (hybrid resolves to a concrete tier before eviction). Every
-// concrete tier gets its own token slot — the old mem/ssd literal pair
-// silently gave any third store no token at all.
-func (m *Manager) evictToken(st cgroup.StoreType) *sync.Mutex {
-	switch st {
-	case cgroup.StoreMem, cgroup.StoreSSD, cgroup.StoreRemote:
-		return &m.evictTokens[entSlot(st)]
-	default:
-		return nil
-	}
-}
 
 // enforceCapacity evicts from the st store until incoming bytes fit,
 // selecting victims per Algorithm 1: first the victim VM, then the victim
 // container within it, then FIFO within the container's pool, in
 // EvictBatchBytes batches. Returns the (metadata) latency incurred.
-// Runs under the store's eviction token; callers hold no VM lock.
+// Runs under the tier's eviction token; callers hold no VM lock. Store
+// types that are never enforced directly (hybrid resolves to a concrete
+// tier first) have no backend in the table and return at once.
 func (m *Manager) enforceCapacity(now time.Duration, st cgroup.StoreType, incoming int64) time.Duration {
-	be := m.backend(st)
-	tok := m.evictToken(st) // ddlint:lock-alias Manager.evictToken
-	if be == nil || tok == nil {
+	t := m.tier(st)
+	be := t.be
+	if be == nil {
 		return 0
 	}
-	tok.Lock()
-	defer tok.Unlock()
+	t.token.Lock()
+	defer t.token.Unlock()
 	var lat time.Duration
 	for be.UsedBytes()+incoming > be.CapacityBytes() {
 		need := be.UsedBytes() + incoming - be.CapacityBytes()
@@ -1135,7 +1074,7 @@ func (m *Manager) demoteTarget(pe *epochPool, st cgroup.StoreType) cgroup.StoreT
 			past = true
 			continue
 		}
-		if past && pe.usesStore(t) && m.backend(t) != nil {
+		if past && pe.usesStore(t) && m.tier(t).be != nil {
 			return t
 		}
 	}
@@ -1335,7 +1274,7 @@ func (m *Manager) EpochSeq() uint64 { return m.epoch.Load().seq }
 
 // StoreUsedBytes reports a store's total occupancy.
 func (m *Manager) StoreUsedBytes(st cgroup.StoreType) int64 {
-	be := m.backend(st)
+	be := m.tier(st).be
 	if be == nil {
 		return 0
 	}

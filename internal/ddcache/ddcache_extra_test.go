@@ -97,7 +97,7 @@ func TestSSDCapacityShrinkEvicts(t *testing.T) {
 	m.RegisterVM(1, 100)
 	p, _ := m.CreatePool(0, 1, "c", cgroup.HCacheSpec{Store: cgroup.StoreSSD, Weight: 100})
 	fillPool(t, m, p, 1, 2048)
-	m.SetSSDCapacity(0, 2*mib)
+	m.SetCapacity(0, cgroup.StoreSSD, 2*mib)
 	if used := m.StoreUsedBytes(cgroup.StoreSSD); used > 2*mib {
 		t.Fatalf("SSD used %d after shrink", used)
 	}

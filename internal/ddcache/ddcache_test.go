@@ -295,7 +295,7 @@ func TestShrinkCapacityEvictsDown(t *testing.T) {
 	m.RegisterVM(1, 100)
 	p, _ := m.CreatePool(0, 1, "c", cgroup.HCacheSpec{Store: cgroup.StoreMem, Weight: 100})
 	fillPool(t, m, p, 1, 2048) // 8 MiB
-	m.SetMemCapacity(0, 2*mib)
+	m.SetCapacity(0, cgroup.StoreMem, 2*mib)
 	if used := m.StoreUsedBytes(cgroup.StoreMem); used > 2*mib {
 		t.Fatalf("used %d after shrink to 2 MiB", used)
 	}

@@ -256,8 +256,8 @@ func (m *Manager) drainOne(now time.Duration, e demoteEntry) time.Duration {
 	if !e.obj.Pending {
 		return 0 // cancelled before the drain got here; nothing to write
 	}
-	st := e.obj.Store
-	be := m.backend(st)
+	t := m.tier(e.obj.Store)
+	st, be := t.kind, t.be
 	if be == nil || be.CapacityBytes() <= 0 {
 		m.dropPending(p, e.obj, &q.dropsFull)
 		return 0
@@ -279,13 +279,13 @@ func (m *Manager) drainOne(now time.Duration, e demoteEntry) time.Duration {
 			return lat
 		}
 	}
-	if !m.tierBreaker(st).allow(now + lat) {
+	if !t.breaker.allow(now + lat) {
 		m.dropPending(p, e.obj, &q.dropsBreaker)
 		return lat
 	}
 	slat, err := be.Store(now+lat, e.obj.Size)
 	lat += slat
-	m.feedBreaker(now+lat, st, err)
+	t.breaker.feed(now+lat, err)
 	if err != nil {
 		m.dropPending(p, e.obj, &q.dropsError)
 		return lat

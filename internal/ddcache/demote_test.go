@@ -207,26 +207,28 @@ func TestWriteBehindConservation(t *testing.T) {
 // TestEvictTokenPerTier is the regression test for the eviction-token
 // generalization: the old evictMemMu/evictSSDMu pair silently gave any
 // third store no token at all, so remote capacity enforcement would have
-// run unserialized. Every concrete tier must own a distinct token; types
-// that never enforce directly (hybrid, unknown) get none.
+// run unserialized. Every tier of tierOrder must own a distinct row of
+// the tier table, and with it a distinct token; types that never enforce
+// directly (hybrid, unknown) must map to a row with no backend, which
+// enforceCapacity returns from before touching the token.
 func TestEvictTokenPerTier(t *testing.T) {
 	m := newThreeTierManager(1<<20, 1<<20, 1<<20, DemotionConfig{})
 	tokens := map[*sync.Mutex]cgroup.StoreType{}
-	for _, st := range []cgroup.StoreType{cgroup.StoreMem, cgroup.StoreSSD, cgroup.StoreRemote} {
-		tok := m.evictToken(st)
-		if tok == nil {
-			t.Fatalf("tier %v has no eviction token", st)
+	for _, st := range tierOrder {
+		row := m.tier(st)
+		if row.kind != st || row.be == nil {
+			t.Fatalf("tier %v has no row in the tier table: %+v", st, row.kind)
 		}
-		if prev, dup := tokens[tok]; dup {
+		if prev, dup := tokens[&row.token]; dup {
 			t.Fatalf("tiers %v and %v share one eviction token", prev, st)
 		}
-		tokens[tok] = st
+		tokens[&row.token] = st
 	}
-	if tok := m.evictToken(cgroup.StoreHybrid); tok != nil {
-		t.Fatal("hybrid resolves before eviction and must have no token")
+	if m.tier(cgroup.StoreHybrid).be != nil {
+		t.Fatal("hybrid resolves before eviction and must have no tier row")
 	}
-	if tok := m.evictToken(cgroup.StoreType(99)); tok != nil {
-		t.Fatal("unknown store type must have no token")
+	if m.tier(cgroup.StoreType(99)).be != nil {
+		t.Fatal("unknown store type must have no tier row")
 	}
 
 	// Behavioral half: a remote-only pool overfilling the remote tier must

@@ -212,10 +212,30 @@ func (d *duo) run(seed int64, ops int) {
 		}
 		return d.live[rng.Intn(len(d.live))]
 	}
+	// Capacity changes: a draw under a tier's bound resizes the first
+	// configured tier it reaches (draws below 90 never get this far).
+	type resizeTarget struct {
+		below int
+		st    cgroup.StoreType
+		cap   *int64
+	}
+	resizes := []resizeTarget{
+		{95, cgroup.StoreMem, &d.memCap},
+		{98, cgroup.StoreSSD, &d.ssdCap},
+		{100, cgroup.StoreRemote, &d.remoteCap},
+	}
+	resizeFor := func(r int) *resizeTarget {
+		for i := range resizes {
+			if r < resizes[i].below && *resizes[i].cap > 0 {
+				return &resizes[i]
+			}
+		}
+		return nil
+	}
 	for i := 0; i < ops; i++ {
 		vm := d.vms[rng.Intn(len(d.vms))]
 		r := rng.Intn(1000)
-		switch {
+		switch rt := resizeFor(r); {
 		case len(d.live) == 0 || (r < 15 && len(d.live) < 8):
 			d.step(cleancache.Request{Op: cleancache.OpCreateCgroup, VM: vm, Name: fmt.Sprintf("p%d", d.nops), Spec: randSpec()})
 		case r < 22:
@@ -234,34 +254,14 @@ func (d *duo) run(seed int64, ops int) {
 			})
 		case r < 90:
 			d.step(cleancache.Request{Op: cleancache.OpGetStats, VM: vm, Key: cleancache.Key{Pool: randPool()}})
-		case r < 95 && d.memCap > 0:
-			n := d.memCap/2 + rng.Int63n(d.memCap)
-			lm := d.m.SetMemCapacity(d.now, n)
-			lo := d.o.SetMemCapacity(d.now, n)
+		case rt != nil:
+			n := *rt.cap/2 + rng.Int63n(*rt.cap)
+			lm := d.m.SetCapacity(d.now, rt.st, n)
+			lo := d.o.SetCapacity(d.now, rt.st, n)
 			if lm != lo {
-				d.t.Fatalf("op %d: SetMemCapacity(%d) latency: manager %v, oracle %v", d.nops, n, lm, lo)
+				d.t.Fatalf("op %d: SetCapacity(%v, %d) latency: manager %v, oracle %v", d.nops, rt.st, n, lm, lo)
 			}
-			d.memCap = n
-			d.now += lm + time.Microsecond
-			d.nops++
-		case r < 98 && d.ssdCap > 0:
-			n := d.ssdCap/2 + rng.Int63n(d.ssdCap)
-			lm := d.m.SetSSDCapacity(d.now, n)
-			lo := d.o.SetSSDCapacity(d.now, n)
-			if lm != lo {
-				d.t.Fatalf("op %d: SetSSDCapacity(%d) latency: manager %v, oracle %v", d.nops, n, lm, lo)
-			}
-			d.ssdCap = n
-			d.now += lm + time.Microsecond
-			d.nops++
-		case r < 100 && d.remoteCap > 0:
-			n := d.remoteCap/2 + rng.Int63n(d.remoteCap)
-			lm := d.m.SetRemoteCapacity(d.now, n)
-			lo := d.o.SetRemoteCapacity(d.now, n)
-			if lm != lo {
-				d.t.Fatalf("op %d: SetRemoteCapacity(%d) latency: manager %v, oracle %v", d.nops, n, lm, lo)
-			}
-			d.remoteCap = n
+			*rt.cap = n
 			d.now += lm + time.Microsecond
 			d.nops++
 		default:

@@ -11,10 +11,12 @@ import (
 // (store types are small consecutive constants, as in package index).
 const entSlots = 5
 
-// tierOrder lists the backend tiers in demotion order: mem evicts to
-// SSD, SSD evicts to remote, remote evictions are true drops. Every loop
-// that used to hard-code the mem/ssd pair iterates this slice instead,
-// so adding a tier is a one-line change here plus a backend() case.
+// tierOrder lists the backend tiers fastest first, which is also the
+// demotion order: mem evicts to SSD, SSD evicts to remote, remote
+// evictions are true drops; breaker fallback walks it the other way.
+// Every per-tier loop iterates this slice and every per-tier lookup reads
+// Manager.tiers, so adding a tier is an entry here, a row of the table in
+// NewManager, and the pool specs that may use it (usesStore).
 var tierOrder = []cgroup.StoreType{cgroup.StoreMem, cgroup.StoreSSD, cgroup.StoreRemote}
 
 // entSlot maps a store type onto the entitlement arrays, folding
@@ -212,7 +214,7 @@ func (b *epochBuilder) build(m *Manager, seq uint64) *epoch {
 		ep.vmByID[bv.state.id] = ev
 	}
 	for _, st := range tierOrder {
-		be := m.backend(st)
+		be := m.tier(st).be
 		if be == nil {
 			continue
 		}

@@ -331,23 +331,9 @@ func (o *Oracle) SetVMWeight(id cleancache.VMID, weight int64) {
 	}
 }
 
-// SetMemCapacity resizes the memory store and returns the latency, as
-// the real manager does.
-func (o *Oracle) SetMemCapacity(now time.Duration, n int64) time.Duration {
-	return o.setCapacity(now, cgroup.StoreMem, n)
-}
-
-// SetSSDCapacity resizes the SSD store and returns the latency.
-func (o *Oracle) SetSSDCapacity(now time.Duration, n int64) time.Duration {
-	return o.setCapacity(now, cgroup.StoreSSD, n)
-}
-
-// SetRemoteCapacity resizes the remote tier and returns the latency.
-func (o *Oracle) SetRemoteCapacity(now time.Duration, n int64) time.Duration {
-	return o.setCapacity(now, cgroup.StoreRemote, n)
-}
-
-func (o *Oracle) setCapacity(now time.Duration, st cgroup.StoreType, n int64) time.Duration {
+// SetCapacity resizes the st store and returns the latency, as the real
+// manager does.
+func (o *Oracle) SetCapacity(now time.Duration, st cgroup.StoreType, n int64) time.Duration {
 	be := o.backend(st)
 	if be == nil {
 		return 0

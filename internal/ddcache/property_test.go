@@ -1,7 +1,7 @@
 package ddcache_test
 
 // Property tests for the epoch-snapshot entitlement machinery, plus the
-// regression test for the SetMemCapacity/SetSSDCapacity latency fix.
+// regression test for the SetCapacity latency fix.
 
 import (
 	"testing"
@@ -121,7 +121,7 @@ func TestSetCapacityChargesEvictionLatency(t *testing.T) {
 	}
 
 	// A shrink that still fits costs exactly one op overhead.
-	lat := m.SetMemCapacity(now, 3<<20)
+	lat := m.SetCapacity(now, cgroup.StoreMem, 3<<20)
 	if lat != overhead {
 		t.Fatalf("non-evicting shrink latency %v, want %v", lat, overhead)
 	}
@@ -130,7 +130,7 @@ func TestSetCapacityChargesEvictionLatency(t *testing.T) {
 	// Shrinking to 1 MiB must free 1 MiB immediately; the eviction pass
 	// (the batch is raised to the full shortfall, so one round) is charged
 	// on top of the config op itself.
-	lat = m.SetMemCapacity(now, 1<<20)
+	lat = m.SetCapacity(now, cgroup.StoreMem, 1<<20)
 	if want := overhead * 2; lat != want {
 		t.Fatalf("evicting shrink latency %v, want %v (config op + eviction round)", lat, want)
 	}

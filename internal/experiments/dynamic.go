@@ -168,7 +168,7 @@ func Fig14(o Opts) *Result {
 		bootVideoVM(4, 25, cgroup.StoreMem)
 		host.SetVMWeight(1, 40)
 		host.SetVMWeight(2, 35)
-		host.SetMemCacheBytes(1 * GiB) // 2 GB → 4 GB scaled
+		host.SetCacheBytes(cgroup.StoreMem, 1*GiB) // 2 GB → 4 GB scaled
 		r.note("t=%.0fs: VM4 booted, cache grown to 1 GiB, weights 40/35/25", engine.Now().Seconds())
 	})
 	if err := engine.Run(o.scaled(600 * time.Second)); err != nil {

@@ -1,12 +1,18 @@
 package experiments
 
 import (
+	"flag"
+	"os"
 	"strings"
 	"testing"
 	"time"
 
 	"doubledecker/internal/metrics"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/golden_tiny.txt from this run")
+
+const goldenTiny = "testdata/golden_tiny.txt"
 
 // tinyOpts shrinks every experiment far enough for CI.
 func tinyOpts() Opts {
@@ -32,13 +38,17 @@ func TestLookupUnknown(t *testing.T) {
 	}
 }
 
-// TestEveryExperimentSmokes runs each artifact at tiny scale and checks
-// the output structure is populated.
+// TestEveryExperimentSmokes runs each artifact at tiny scale, checks the
+// output structure is populated, and compares the concatenated Format
+// bytes with the committed golden: the simulator is deterministic, so
+// any difference is a behaviour change. Regenerate on purpose with
+// go test ./internal/experiments -run TestEveryExperimentSmokes -update.
 func TestEveryExperimentSmokes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are seconds each; skipped in -short")
 	}
 	o := tinyOpts()
+	var all strings.Builder
 	for _, id := range IDs() {
 		id := id
 		t.Run(id, func(t *testing.T) {
@@ -57,8 +67,40 @@ func TestEveryExperimentSmokes(t *testing.T) {
 			if !strings.Contains(out, id) {
 				t.Fatal("Format output missing the experiment id")
 			}
+			all.WriteString(out)
 		})
 	}
+	if t.Failed() {
+		return
+	}
+	if *update {
+		if err := os.WriteFile(goldenTiny, []byte(all.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(goldenTiny)
+	if err != nil {
+		t.Fatalf("%v (generate it with -update)", err)
+	}
+	if got := all.String(); got != string(want) {
+		t.Fatalf("experiment output differs from %s at line %d (%d bytes, want %d); "+
+			"if the behaviour change is intended, rerun with -update and explain the diff",
+			goldenTiny, firstDiffLine(got, string(want)), len(got), len(want))
+	}
+}
+
+// firstDiffLine returns the 1-based line of the first differing byte.
+func firstDiffLine(a, b string) int {
+	n := len(a)
+	if len(b) < n {
+		n = len(b)
+	}
+	i := 0
+	for i < n && a[i] == b[i] {
+		i++
+	}
+	return 1 + strings.Count(a[:i], "\n")
 }
 
 func TestResultFormatTable(t *testing.T) {

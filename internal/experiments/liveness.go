@@ -126,12 +126,11 @@ func runLivenessMode(o Opts, label string, withFaults, deadlines bool) LivenessM
 		inj = fault.New(livenessStallPlan(o.Seed))
 	}
 	cfg := hypervisor.Config{
-		MemCacheBytes:   lvMemCacheMiB * MiB,
-		SSDCacheBytes:   lvSSDCacheMiB * MiB,
-		Metrics:         reg,
-		Faults:          inj,
-		MaxInflightGets: lvInflightGets,
-		MaxQueuedOps:    lvQueuedOps,
+		MemCacheBytes: lvMemCacheMiB * MiB,
+		SSDCacheBytes: lvSSDCacheMiB * MiB,
+		Metrics:       reg,
+		Faults:        inj,
+		Transport:     hypercall.Options{MaxInflightGets: lvInflightGets, MaxQueuedOps: lvQueuedOps},
 		// SSD-class guest disks: deadline fallbacks re-read from the
 		// VM's virtual disk, and the open-loop drivers would swamp the
 		// default HDD model's ~8 ms/op service rate under the stall
@@ -142,7 +141,7 @@ func runLivenessMode(o Opts, label string, withFaults, deadlines bool) LivenessM
 		},
 	}
 	if deadlines {
-		cfg.OpBudget = lvBudget
+		cfg.Transport.OpBudget = lvBudget
 		cfg.WatchdogPeriod = lvBudget / 2
 	}
 	host := hypervisor.New(engine, cfg)

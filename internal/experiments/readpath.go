@@ -125,16 +125,15 @@ type ReadPathE2EResult struct {
 // runReadPathE2EMode runs one full-stack configuration.
 func runReadPathE2EMode(o Opts, guests int, pipeline bool) ReadPathE2EMode {
 	engine := sim.New(o.Seed + int64(guests))
-	hopts := []hypervisor.Option{
-		hypervisor.WithMode(ddcache.ModeDD),
-		hypervisor.WithMemCache(int64(guests) * rpHostMemMiB * MiB),
-	}
 	label := "pipeline-on"
 	if !pipeline {
 		label = "pipeline-off"
-		hopts = append(hopts, hypervisor.WithoutPipeline())
 	}
-	host := hypervisor.NewHost(engine, hopts...)
+	host := hypervisor.New(engine, hypervisor.Config{
+		Mode:          ddcache.ModeDD,
+		MemCacheBytes: int64(guests) * rpHostMemMiB * MiB,
+		NoPipeline:    !pipeline,
+	})
 
 	type vmState struct {
 		vm      *guest.VM

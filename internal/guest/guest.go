@@ -24,11 +24,7 @@ import (
 // shallow enough to stay well inside the transport's staging buffer.
 const DefaultReadAheadWindow = 32
 
-// Config parameterizes a VM.
-//
-// Deprecated knob growth: new VM knobs are added as functional options
-// only (see NewVM and the With* options); the struct fields remain as
-// shims for existing call sites.
+// Config parameterizes a VM; zero fields select the documented defaults.
 type Config struct {
 	ID       cleancache.VMID
 	MemBytes int64

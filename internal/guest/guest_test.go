@@ -21,10 +21,10 @@ const mib = 1 << 20
 func rig(t *testing.T, memCache int64) (*sim.Engine, *ddcache.Manager, *VM) {
 	t.Helper()
 	engine := sim.New(1)
-	mgr := ddcache.New(
-		ddcache.WithMode(ddcache.ModeDD),
-		ddcache.WithMemBackend(store.NewMem(blockdev.NewRAM("hostram"), memCache)),
-	)
+	mgr := ddcache.NewManager(ddcache.Config{
+		Mode: ddcache.ModeDD,
+		Mem:  store.NewMem(blockdev.NewRAM("hostram"), memCache),
+	})
 	mgr.RegisterVM(1, 100)
 	front := cleancache.NewFront(1, hypercall.NewTransport(mgr, hypercall.Options{}))
 	vm := New(engine, Config{ID: 1, MemBytes: 256 * mib}, front)

@@ -145,15 +145,11 @@ func runChaosLiveness(t *testing.T, plan fault.Plan, deadlines, mustBite bool) {
 		tr := hypercall.NewTransport(tee, topts)
 		front := cleancache.NewFront(id, tr)
 		engine := sim.New(int64(7100 + v))
-		vmOpts := []guest.Option{
-			guest.WithID(id),
-			guest.WithMemBytes(80 << 20),
-			guest.WithReadAheadWindow(window),
-		}
+		gcfg := guest.Config{ID: id, MemBytes: 80 << 20, ReadAheadWindow: window}
 		if deadlines {
-			vmOpts = append(vmOpts, guest.WithWatchdogPeriod(chaosBudget/2))
+			gcfg.WatchdogPeriod = chaosBudget / 2
 		}
-		vm := guest.NewVM(engine, front, vmOpts...)
+		vm := guest.New(engine, gcfg, front)
 		c := vm.NewContainer("chaos", 1<<20, cgroup.HCacheSpec{Store: cgroup.StoreMem, Weight: 100})
 		s := &guestState{
 			engine: engine, vm: vm, c: c, tee: tee, tr: tr,
@@ -292,12 +288,9 @@ func TestTeardownWithOutstandingAsyncWork(t *testing.T) {
 	})
 	front := cleancache.NewFront(id, tr)
 	engine := sim.New(4242)
-	vm := guest.NewVM(engine, front,
-		guest.WithID(id),
-		guest.WithMemBytes(80<<20),
-		guest.WithReadAheadWindow(8),
-		guest.WithWatchdogPeriod(chaosBudget/2),
-	)
+	vm := guest.New(engine, guest.Config{
+		ID: id, MemBytes: 80 << 20, ReadAheadWindow: 8, WatchdogPeriod: chaosBudget / 2,
+	}, front)
 	c := vm.NewContainer("td", 1<<20, cgroup.HCacheSpec{Store: cgroup.StoreMem, Weight: 100})
 	pool := cleancache.PoolID(c.Group().PoolID())
 	f := vm.Allocator().Alloc(256)

@@ -110,14 +110,11 @@ func runGuestReadPathDifferential(t *testing.T, pipeline bool) {
 		tr := hypercall.NewTransport(tee, topts)
 		front := cleancache.NewFront(id, tr)
 		engine := sim.New(int64(9000 + v))
-		vmOpts := []guest.Option{
-			guest.WithID(id),
-			guest.WithMemBytes(80 << 20), // 64 MiB kernel reserve + 16 MiB cache
-		}
+		gcfg := guest.Config{ID: id, MemBytes: 80 << 20} // 64 MiB kernel reserve + 16 MiB cache
 		if pipeline {
-			vmOpts = append(vmOpts, guest.WithReadAheadWindow(window))
+			gcfg.ReadAheadWindow = window
 		}
-		vm := guest.NewVM(engine, front, vmOpts...)
+		vm := guest.New(engine, gcfg, front)
 		c := vm.NewContainer("rp", 1<<20, cgroup.HCacheSpec{Store: cgroup.StoreMem, Weight: 100})
 		s := &guestState{
 			engine: engine, vm: vm, c: c, tee: tee, tr: tr,

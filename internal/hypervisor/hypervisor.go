@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"doubledecker/internal/blockdev"
+	"doubledecker/internal/cgroup"
 	"doubledecker/internal/cleancache"
 	"doubledecker/internal/ddcache"
 	"doubledecker/internal/fault"
@@ -43,8 +44,8 @@ type Config struct {
 	Demotion ddcache.DemotionConfig
 	// EvictBatchBytes overrides the paper's 2 MiB eviction batch.
 	EvictBatchBytes int64
-	// HypervisorCaching can be set false to disable the second-chance
-	// path entirely (pure guest-only caching).
+	// DisableCaching turns the second-chance path off entirely: VMs boot
+	// with no cleancache front or transport (pure guest-only caching).
 	DisableCaching bool
 	// VMDiskFactory builds each VM's virtual disk; nil selects the
 	// default 7200 RPM HDD per VM.
@@ -53,8 +54,9 @@ type Config struct {
 	// (nil = the paper's Algorithm 1); used by ablation benchmarks.
 	VictimSelector func(ents []policy.Entity, evictionSize int64) int
 	// Transport parameterizes each VM's hypercall transport (batch
-	// bounds, costs, unbatched baseline). The zero value selects the
-	// batched defaults.
+	// bounds, costs, unbatched baseline, the per-op latency budget
+	// OpBudget, the per-VM admission caps MaxInflightGets and
+	// MaxQueuedOps). The zero value selects the batched defaults.
 	Transport hypercall.Options
 	// Metrics, when set, receives the transports' per-op-code latency
 	// histograms and batch telemetry, plus the SSD breaker's events.
@@ -85,18 +87,10 @@ type Config struct {
 	// whenever RemoteCacheBytes is set); the zero value keeps the
 	// defaults.
 	RemoteBreaker ddcache.BreakerConfig
-	// OpBudget is the per-operation latency budget every VM's transport
-	// enforces on the data path (see hypercall.Options.OpBudget); zero
-	// disables deadlines. Overrides Transport.OpBudget when set.
-	OpBudget time.Duration
 	// WatchdogPeriod is each guest's deadline-watchdog tick period; zero
-	// with OpBudget set defaults to OpBudget (a waiter is failed at most
-	// one budget late).
+	// with Transport.OpBudget set defaults to that budget (a waiter is
+	// failed at most one budget late).
 	WatchdogPeriod time.Duration
-	// MaxInflightGets and MaxQueuedOps are the per-VM transport admission
-	// caps (see hypercall.Options); zero means unlimited.
-	MaxInflightGets int
-	MaxQueuedOps    int
 	// MaxInflightOps is the hypervisor-wide admission budget on the cache
 	// manager (see ddcache.Config.MaxInflightOps); zero disables it.
 	MaxInflightOps int64
@@ -143,18 +137,8 @@ func New(engine *sim.Engine, cfg Config) *Host {
 	if cfg.ReadAheadWindow < 0 {
 		cfg.ReadAheadWindow = 0
 	}
-	// Deadline and admission plumbing: the host-level knobs override the
-	// raw transport options, and a budget without a watchdog period gets
-	// one — a waiter is then failed at most one budget past its deadline.
-	if cfg.OpBudget > 0 {
-		topts.OpBudget = cfg.OpBudget
-	}
-	if cfg.MaxInflightGets > 0 {
-		topts.MaxInflightGets = cfg.MaxInflightGets
-	}
-	if cfg.MaxQueuedOps > 0 {
-		topts.MaxQueuedOps = cfg.MaxQueuedOps
-	}
+	// A budget without a watchdog period gets one — a waiter is then
+	// failed at most one budget past its deadline.
 	if cfg.WatchdogPeriod == 0 && topts.OpBudget > 0 {
 		cfg.WatchdogPeriod = topts.OpBudget
 	}
@@ -303,19 +287,9 @@ func (h *Host) SetVMWeight(id cleancache.VMID, weight int64) {
 	h.manager.SetVMWeight(id, weight)
 }
 
-// SetMemCacheBytes resizes the memory store at runtime.
-func (h *Host) SetMemCacheBytes(n int64) {
-	h.manager.SetMemCapacity(h.engine.Now(), n)
-}
-
-// SetSSDCacheBytes resizes the SSD store at runtime.
-func (h *Host) SetSSDCacheBytes(n int64) {
-	h.manager.SetSSDCapacity(h.engine.Now(), n)
-}
-
-// SetRemoteCacheBytes resizes the remote tier at runtime.
-func (h *Host) SetRemoteCacheBytes(n int64) {
-	h.manager.SetRemoteCapacity(h.engine.Now(), n)
+// SetCacheBytes resizes one cache store (mem, SSD or remote) at runtime.
+func (h *Host) SetCacheBytes(st cgroup.StoreType, n int64) {
+	h.manager.SetCapacity(h.engine.Now(), st, n)
 }
 
 // RunFor advances the simulation by d of virtual time.

@@ -90,8 +90,8 @@ func TestSetWeightsAndCapacityAtRuntime(t *testing.T) {
 	engine, host := newHost(t)
 	host.NewVM(1, 128*mib, 100)
 	host.SetVMWeight(1, 50)
-	host.SetMemCacheBytes(32 * mib)
-	host.SetSSDCacheBytes(2 << 30)
+	host.SetCacheBytes(cgroup.StoreMem, 32*mib)
+	host.SetCacheBytes(cgroup.StoreSSD, 2<<30)
 	if host.Engine() != engine {
 		t.Fatal("Engine accessor broken")
 	}

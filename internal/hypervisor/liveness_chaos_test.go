@@ -48,10 +48,8 @@ func runHostChaos(t *testing.T, seed int64) {
 		SSDCacheBytes:    256 * mib,
 		RemoteCacheBytes: 512 * mib,
 		Faults:           fault.New(plan),
-		OpBudget:         budget,
+		Transport:        hypercall.Options{OpBudget: budget, MaxInflightGets: 128, MaxQueuedOps: 400},
 		WatchdogPeriod:   budget / 2,
-		MaxInflightGets:  128,
-		MaxQueuedOps:     400,
 		MaxInflightOps:   1024,
 	})
 
@@ -171,7 +169,7 @@ func TestChaosRemoteFaultPlans(t *testing.T) {
 				SSDCacheBytes:    4 * mib,
 				RemoteCacheBytes: 64 * mib,
 				Faults:           fault.New(plan),
-				OpBudget:         budget,
+				Transport:        hypercall.Options{OpBudget: budget},
 				WatchdogPeriod:   budget / 2,
 			})
 			// The guest's own page cache is tiny relative to the working
@@ -226,7 +224,7 @@ func TestHostDeadlineDefaultsWatchdogPeriod(t *testing.T) {
 	host := New(engine, Config{
 		Mode:          ddcache.ModeDD,
 		MemCacheBytes: 32 * mib,
-		OpBudget:      time.Millisecond,
+		Transport:     hypercall.Options{OpBudget: time.Millisecond},
 	})
 	if host.wdog != time.Millisecond {
 		t.Fatalf("watchdog period = %v, want the budget itself", host.wdog)

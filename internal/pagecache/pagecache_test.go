@@ -36,10 +36,10 @@ func newRig(vmMemBytes, hcacheBytes int64) *rig {
 		rng:   rand.New(rand.NewSource(1)),
 	}
 	if hcacheBytes > 0 {
-		r.mgr = ddcache.New(
-			ddcache.WithMode(ddcache.ModeDD),
-			ddcache.WithMemBackend(store.NewMem(blockdev.NewRAM("hostram"), hcacheBytes)),
-		)
+		r.mgr = ddcache.NewManager(ddcache.Config{
+			Mode: ddcache.ModeDD,
+			Mem:  store.NewMem(blockdev.NewRAM("hostram"), hcacheBytes),
+		})
 		r.mgr.RegisterVM(1, 100)
 		// Unbatched: these tests inspect manager state right after puts,
 		// so deliveries must not sit in a transport ring.
