@@ -1,8 +1,8 @@
-// Benchmark harness: one benchmark per reproduced table and figure (each
-// runs the scenario end-to-end on virtual time and reports the artifact's
-// headline number as a custom metric), ablation benchmarks for the design
-// choices DESIGN.md calls out (eviction batch size, Algorithm 1's
-// redistribution step), and micro-benchmarks of the hot paths.
+// Benchmark harness: one benchmark over every registered experiment (each
+// sub-benchmark runs the scenario end-to-end on virtual time), ablation
+// benchmarks for the design choices DESIGN.md calls out (eviction batch
+// size, Algorithm 1's redistribution step), and micro-benchmarks of the
+// hot paths.
 //
 // Run with: go test -bench=. -benchmem
 package main
@@ -32,49 +32,30 @@ import (
 
 const mib = int64(1) << 20
 
-// benchOpts returns short-run options. The seed is fixed: iterations
-// after the first hit the experiment memoization, so the benchmark is
-// safe under Go's automatic b.N ramping (a fresh seed per iteration
-// would re-run a multi-second scenario thousands of times). To time a
-// single full scenario, run with -benchtime 1x.
+// benchOpts returns short-run options with a fixed seed. An iteration
+// re-runs the whole scenario, some of them seconds long (only the
+// fig9/fig10/table2 and fig11/fig12/table3 groups share memoized runs):
+// time them with -benchtime 1x rather than under Go's b.N ramping.
 func benchOpts() experiments.Opts {
 	o := experiments.QuickOpts()
 	o.Stretch = 0.05
 	return o
 }
 
-// runExperiment drives one registered experiment; the first iteration
-// does the real work, later ones validate the cached result path.
-func runExperiment(b *testing.B, id string) *experiments.Result {
-	b.Helper()
-	runner, ok := experiments.Lookup(id)
-	if !ok {
-		b.Fatalf("unknown experiment %q", id)
+// BenchmarkExperiment times every registered experiment, one
+// sub-benchmark per id.
+func BenchmarkExperiment(b *testing.B) {
+	for _, id := range experiments.IDs() {
+		runner, _ := experiments.Lookup(id)
+		b.Run(id, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if res := runner(benchOpts()); res == nil || res.ID != id {
+					b.Fatalf("experiment %q returned bad result", id)
+				}
+			}
+		})
 	}
-	var last *experiments.Result
-	for i := 0; i < b.N; i++ {
-		last = runner(benchOpts())
-		if last == nil || last.ID != id {
-			b.Fatalf("experiment %q returned bad result", id)
-		}
-	}
-	return last
 }
-
-// --- one benchmark per paper artifact ---------------------------------------
-
-func BenchmarkFig5Motivation(b *testing.B)          { runExperiment(b, "fig5") }
-func BenchmarkFig6Motivation(b *testing.B)          { runExperiment(b, "fig6") }
-func BenchmarkFig7Provisioning(b *testing.B)        { runExperiment(b, "fig7") }
-func BenchmarkTable1GuestMetrics(b *testing.B)      { runExperiment(b, "table1") }
-func BenchmarkFig9CacheDistribution(b *testing.B)   { runExperiment(b, "fig9") }
-func BenchmarkFig10VideoUsage(b *testing.B)         { runExperiment(b, "fig10") }
-func BenchmarkTable2CachingModes(b *testing.B)      { runExperiment(b, "table2") }
-func BenchmarkFig11PolicySpeedup(b *testing.B)      { runExperiment(b, "fig11") }
-func BenchmarkFig12PolicyDistribution(b *testing.B) { runExperiment(b, "fig12") }
-func BenchmarkTable4Cooperative(b *testing.B)       { runExperiment(b, "table4") }
-func BenchmarkFig13DynamicContainers(b *testing.B)  { runExperiment(b, "fig13") }
-func BenchmarkFig14DynamicVMs(b *testing.B)         { runExperiment(b, "fig14") }
 
 // --- ablations ---------------------------------------------------------------
 

@@ -11,7 +11,7 @@ import (
 // single-threaded implementation (such as an Oracle) safe for concurrent
 // dispatch. With HoldLatency set the lock is additionally held for each
 // operation's modeled device latency, turning the wrapper into the
-// single-lock strawman of the scaling experiment: a manager whose global
+// single-lock strawman of ddcache's TestShardedScaling: a manager whose global
 // lock serializes every guest's device wait admits exactly one
 // in-flight operation, so adding guests adds no throughput.
 type Sequential struct {

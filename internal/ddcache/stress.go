@@ -189,7 +189,7 @@ func RunStress(m *Manager, o StressOptions) StressResult {
 }
 
 // BackendStressOptions configures RunStressBackend, the dispatch-driven
-// closed-loop driver used by the scaling experiment: unlike RunStress it
+// closed-loop driver used by the scaling test: unlike RunStress it
 // drives any cleancache.Backend (the sharded manager, the sequential
 // oracle, a transport), so two implementations can be measured under the
 // byte-identical workload.
@@ -236,10 +236,9 @@ func (o *BackendStressOptions) defaults() {
 
 // RunStressBackend creates o.Guests guests × o.PoolsPerGuest pools
 // through the op-dispatch interface and fans out one closed-loop
-// goroutine per guest issuing a deterministic Put/Get/Flush mix. It is
-// the measurement harness of `ddbench -scalingjson`: the same options
-// against the sharded Manager and against the mutex-wrapped sequential
-// oracle yield the scaling table.
+// goroutine per guest issuing a deterministic Put/Get/Flush mix.
+// TestShardedScaling runs it with the same options against the sharded
+// Manager and against the mutex-wrapped sequential oracle.
 func RunStressBackend(be cleancache.Backend, o BackendStressOptions) StressResult {
 	o.defaults()
 	st := cgroup.StoreMem

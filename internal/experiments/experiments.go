@@ -13,7 +13,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -73,6 +72,16 @@ type Result struct {
 	Series      map[string]*metrics.Series
 	SeriesOrder []string
 	Notes       []string
+	// Metrics is the machine-readable view of the tables: named
+	// virtual-time values, unique within a result, that gates and
+	// ddbench's -json read. Format does not print them.
+	Metrics []Metric
+}
+
+// Metric is one named measurement of a result.
+type Metric struct {
+	Name  string
+	Value float64
 }
 
 // newResult initializes an empty result.
@@ -91,6 +100,11 @@ func (r *Result) addSeries(name string) *metrics.Series {
 // note appends a free-form annotation.
 func (r *Result) note(format string, args ...any) {
 	r.Notes = append(r.Notes, fmt.Sprintf(format, args...))
+}
+
+// metric records a named value.
+func (r *Result) metric(name string, v float64) {
+	r.Metrics = append(r.Metrics, Metric{name, v})
 }
 
 // Format renders the result for terminal output: tables in full, series
@@ -196,29 +210,3 @@ func mib(bytes int64) float64 { return float64(bytes) / float64(MiB) }
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 func f0(v float64) string { return fmt.Sprintf("%.0f", v) }
-
-// Runner executes one experiment.
-type Runner func(Opts) *Result
-
-// registry maps experiment ids to runners; populated in registry.go.
-var registry = map[string]Runner{}
-
-// Register adds an experiment to the registry (called from init wiring in
-// registry.go; exposed for external extension).
-func Register(id string, r Runner) { registry[id] = r }
-
-// Lookup finds an experiment by id.
-func Lookup(id string) (Runner, bool) {
-	r, ok := registry[id]
-	return r, ok
-}
-
-// IDs returns the registered experiment ids, sorted.
-func IDs() []string {
-	out := make([]string, 0, len(registry))
-	for id := range registry {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}

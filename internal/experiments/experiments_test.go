@@ -3,6 +3,7 @@ package experiments
 import (
 	"flag"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -20,15 +21,50 @@ func tinyOpts() Opts {
 }
 
 func TestRegistryComplete(t *testing.T) {
-	want := []string{"fig5", "fig6", "fig7", "fig9", "fig10", "fig11", "fig12",
-		"fig13", "fig14", "table1", "table2", "table3", "table4"}
+	want := []string{"faults", "fig10", "fig11", "fig12", "fig13", "fig14",
+		"fig5", "fig6", "fig7", "fig9", "liveness", "readpath",
+		"readpath-transport", "table1", "table2", "table3", "table4", "tier",
+		"transport"}
+	if got := IDs(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("IDs() = %v, want %v", got, want)
+	}
 	for _, id := range want {
 		if _, ok := Lookup(id); !ok {
 			t.Fatalf("experiment %q not registered", id)
 		}
 	}
-	if got := len(IDs()); got < len(want) {
-		t.Fatalf("IDs() = %d entries, want ≥ %d", got, len(want))
+}
+
+// TestGatesResolve runs every gated experiment and fails if a gate names
+// a metric the result does not carry or uses an unknown operator, or if
+// two metrics of one result share a name. Whether a gate holds at this
+// scale is not checked: thresholds are set for -quick runs.
+func TestGatesResolve(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiments are seconds each; skipped in -short")
+	}
+	for _, e := range registry {
+		if len(e.Gates) == 0 {
+			continue
+		}
+		res := e.Run(tinyOpts())
+		seen := map[string]bool{}
+		for _, m := range res.Metrics {
+			if seen[m.Name] {
+				t.Errorf("%s: metric %q reported twice", e.ID, m.Name)
+			}
+			seen[m.Name] = true
+		}
+		for _, v := range res.Check(e.Gates) {
+			if v.missing {
+				t.Errorf("%s: %v", e.ID, v)
+			}
+			switch v.Op {
+			case ">", ">=", "<=", "==":
+			default:
+				t.Errorf("%s: gate on %s has unknown op %q", e.ID, v.Metric, v.Op)
+			}
+		}
 	}
 }
 

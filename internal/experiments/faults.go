@@ -20,7 +20,6 @@ import (
 	"doubledecker/internal/hypervisor"
 	"doubledecker/internal/metrics"
 	"doubledecker/internal/sim"
-	"doubledecker/internal/wallclock"
 )
 
 // faults scenario geometry: each VM streams a 32 MiB file through an
@@ -54,8 +53,8 @@ const (
 	phaseCount
 )
 
-// phaseLabels names the phases relative to the stall window.
-var phaseLabels = [phaseCount]string{"before stall", "during stall", "after stall"}
+// phaseKeys names the phases relative to the stall window in metric names.
+var phaseKeys = [phaseCount]string{"before", "during", "after"}
 
 // FaultsModeResult summarizes one run of the scenario (healthy or with
 // the injected stall).
@@ -70,26 +69,11 @@ type FaultsModeResult struct {
 	VM2HitPct float64
 	// Ticks is the number of driver ticks executed across both VMs.
 	Ticks int64
-	// WallNSPerTick is host wall-clock per tick (simulator throughput).
-	WallNSPerTick float64
 	// Breaker is the SSD circuit breaker's final snapshot.
 	Breaker ddcache.BreakerStats
 	// InjectedFaults counts the faults the plan actually fired.
 	InjectedFaults int64
 }
-
-// FaultsBenchResult pairs the healthy baseline with the faulted run.
-type FaultsBenchResult struct {
-	Healthy FaultsBenchMode
-	Faulted FaultsBenchMode
-	// VM1Impact is VM1's during-stall mean tick latency in the faulted
-	// run divided by the same window in the healthy run — the
-	// noisy-neighbour factor the breaker is meant to bound.
-	VM1Impact float64
-}
-
-// FaultsBenchMode aliases FaultsModeResult for the paired result.
-type FaultsBenchMode = FaultsModeResult
 
 // runFaultsMode executes the two-VM scenario, optionally with the SSD
 // stall plan installed.
@@ -165,11 +149,9 @@ func runFaultsMode(o Opts, label string, withFaults bool) FaultsModeResult {
 		})
 	}
 
-	elapsed := wallclock.Stopwatch()
 	engine.Run(o.scaled(ftDuration))
 	vm1.Front().FlushTransport(engine.Now())
 	vm2.Front().FlushTransport(engine.Now())
-	wall := elapsed()
 
 	res := FaultsModeResult{
 		Label:          label,
@@ -190,49 +172,38 @@ func runFaultsMode(o Opts, label string, withFaults bool) FaultsModeResult {
 			}
 		}
 	}
-	if res.Ticks > 0 {
-		res.WallNSPerTick = float64(wall.Nanoseconds()) / float64(res.Ticks)
-	}
 	res.VM1HitPct = host.Manager().PoolStats(1, cleancache.PoolID(c1.Group().PoolID())).HitRatio()
 	res.VM2HitPct = host.Manager().PoolStats(2, cleancache.PoolID(c2.Group().PoolID())).HitRatio()
 	return res
 }
 
-// ftCache memoizes runs so the registered experiment and ddbench's JSON
-// emission share them.
-var ftCache = map[Opts]FaultsBenchResult{}
-
-// FaultsBench runs the scenario healthy and with the injected stall.
-func FaultsBench(o Opts) FaultsBenchResult {
-	if r, ok := ftCache[o]; ok {
-		return r
-	}
-	r := FaultsBenchResult{
-		Healthy: runFaultsMode(o, "healthy", false),
-		Faulted: runFaultsMode(o, "ssd-stall", true),
-	}
-	if r.Healthy.VM1TickUS[phaseDuring] > 0 {
-		r.VM1Impact = r.Faulted.VM1TickUS[phaseDuring] / r.Healthy.VM1TickUS[phaseDuring]
-	}
-	ftCache[o] = r
-	return r
-}
-
 // FaultsExp is the registered "faults" experiment: VM2's SSD pool
 // survives a 10 s device stall, with bounded latency impact on VM1.
 func FaultsExp(o Opts) *Result {
-	b := FaultsBench(o)
+	healthy := runFaultsMode(o, "healthy", false)
+	faulted := runFaultsMode(o, "ssd-stall", true)
+	// VM1's during-stall mean tick latency relative to the healthy run:
+	// the noisy-neighbour factor the breaker is meant to bound.
+	vm1Impact := 0.0
+	if healthy.VM1TickUS[phaseDuring] > 0 {
+		vm1Impact = faulted.VM1TickUS[phaseDuring] / healthy.VM1TickUS[phaseDuring]
+	}
+	modes := []FaultsModeResult{healthy, faulted}
 	r := newResult("faults", "SSD device stall: circuit-breaker degradation and recovery")
 
 	lat := Table{
 		Title:   "Mean per-tick latency (µs) by phase",
 		Columns: []string{"run", "vm", "before stall", "during stall", "after stall"},
 	}
-	for _, m := range []FaultsModeResult{b.Healthy, b.Faulted} {
+	for _, m := range modes {
 		lat.Rows = append(lat.Rows,
 			[]string{m.Label, "vm1 (mem)", f1(m.VM1TickUS[phaseBefore]), f1(m.VM1TickUS[phaseDuring]), f1(m.VM1TickUS[phaseAfter])},
 			[]string{m.Label, "vm2 (ssd)", f1(m.VM2TickUS[phaseBefore]), f1(m.VM2TickUS[phaseDuring]), f1(m.VM2TickUS[phaseAfter])},
 		)
+		for ph, key := range phaseKeys {
+			r.metric(m.Label+".vm1_tick_us."+key, m.VM1TickUS[ph])
+			r.metric(m.Label+".vm2_tick_us."+key, m.VM2TickUS[ph])
+		}
 	}
 	r.Tables = append(r.Tables, lat)
 
@@ -240,18 +211,26 @@ func FaultsExp(o Opts) *Result {
 		Title:   "Run summary",
 		Columns: []string{"run", "vm1 hit %", "vm2 hit %", "breaker", "trips", "restores", "injected faults"},
 	}
-	for _, m := range []FaultsModeResult{b.Healthy, b.Faulted} {
+	for _, m := range modes {
 		sum.Rows = append(sum.Rows, []string{
 			m.Label, f1(m.VM1HitPct), f1(m.VM2HitPct),
 			m.Breaker.State, f0(float64(m.Breaker.Trips)), f0(float64(m.Breaker.Restores)),
 			f0(float64(m.InjectedFaults)),
 		})
+		r.metric(m.Label+".vm1_hit_pct", m.VM1HitPct)
+		r.metric(m.Label+".vm2_hit_pct", m.VM2HitPct)
+		r.metric(m.Label+".ticks", float64(m.Ticks))
+		r.metric(m.Label+".breaker_trips", float64(m.Breaker.Trips))
+		r.metric(m.Label+".breaker_probes", float64(m.Breaker.Probes))
+		r.metric(m.Label+".breaker_restores", float64(m.Breaker.Restores))
+		r.metric(m.Label+".injected_faults", float64(m.InjectedFaults))
 	}
 	r.Tables = append(r.Tables, sum)
+	r.metric("vm1_impact", vm1Impact)
 
 	r.note("VM2's SSD pool survives the stall: the breaker trips (%d) and restores (%d), puts degrade to memory-or-miss instead of eating the %v device timeout per op",
-		b.Faulted.Breaker.Trips, b.Faulted.Breaker.Restores, ftStallTimeout)
+		faulted.Breaker.Trips, faulted.Breaker.Restores, ftStallTimeout)
 	r.note("VM1 during-stall latency impact: %.2fx the healthy baseline (cleancache contract: every degraded op is a safe drop or miss, never an error surfaced to the guest)",
-		b.VM1Impact)
+		vm1Impact)
 	return r
 }

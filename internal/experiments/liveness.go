@@ -12,6 +12,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"doubledecker/internal/blockdev"
@@ -103,18 +104,36 @@ type LivenessModeResult struct {
 	InjectedFaults int64
 }
 
-// LivenessBenchResult holds the 2×2 run matrix.
-type LivenessBenchResult struct {
-	HealthyOn  LivenessModeResult
-	HealthyOff LivenessModeResult
-	StallOn    LivenessModeResult
-	StallOff   LivenessModeResult
-	// HealthyHitDelta is |healthy-on hit% − healthy-off hit%|: the
-	// deadline machinery's cost on a fault-free run, in points.
-	HealthyHitDelta float64
-	// BudgetUS is the armed per-get budget in µs, the bound the
-	// stall-on run's p99 and max must respect.
-	BudgetUS float64
+// lvBudgetUS is the armed per-get budget in µs, the bound the stall-on
+// run's p99 and max must respect.
+const lvBudgetUS = float64(lvBudget / time.Microsecond)
+
+// The four runs of the 2×2 matrix, in table order.
+var lvRuns = []struct {
+	label                 string
+	withFaults, deadlines bool
+}{
+	{"healthy/no-deadline", false, false},
+	{"healthy/deadlines", false, true},
+	{"stall/no-deadline", true, false},
+	{"stall/deadlines", true, true},
+}
+
+// livenessGates bounds the stall-plan tail by the budget, the deadline
+// machinery's healthy-run cost by two hit-ratio points, and every
+// post-teardown table size by zero.
+func livenessGates() []Gate {
+	gates := []Gate{
+		{"stall/deadlines.get_p99_us", "<=", lvBudgetUS},
+		{"stall/deadlines.get_max_us", "<=", lvBudgetUS},
+		{"healthy_hit_delta_points", "<=", 2},
+	}
+	for _, run := range lvRuns {
+		for _, table := range []string{"waiters", "staged", "pending"} {
+			gates = append(gates, Gate{run.label + ".leaked_" + table, "==", 0})
+		}
+	}
+	return gates
 }
 
 // runLivenessMode executes the two-VM scenario in one configuration.
@@ -227,35 +246,16 @@ func runLivenessMode(o Opts, label string, withFaults, deadlines bool) LivenessM
 	return res
 }
 
-// lvCache memoizes runs so the registered experiment and ddbench's JSON
-// emission share them.
-var lvCache = map[Opts]LivenessBenchResult{}
-
-// LivenessBench runs the 2×2 matrix: {healthy, stall-heavy} ×
-// {deadlines on, off}.
-func LivenessBench(o Opts) LivenessBenchResult {
-	if r, ok := lvCache[o]; ok {
-		return r
-	}
-	r := LivenessBenchResult{
-		HealthyOn:  runLivenessMode(o, "healthy/deadlines", false, true),
-		HealthyOff: runLivenessMode(o, "healthy/no-deadline", false, false),
-		StallOn:    runLivenessMode(o, "stall/deadlines", true, true),
-		StallOff:   runLivenessMode(o, "stall/no-deadline", true, false),
-		BudgetUS:   float64(lvBudget) / float64(time.Microsecond),
-	}
-	r.HealthyHitDelta = r.HealthyOn.HitPct - r.HealthyOff.HitPct
-	if r.HealthyHitDelta < 0 {
-		r.HealthyHitDelta = -r.HealthyHitDelta
-	}
-	lvCache[o] = r
-	return r
-}
-
 // LivenessExp is the registered "liveness" experiment: bounded guest
 // tail latency under transport chaos with the per-op budget armed.
 func LivenessExp(o Opts) *Result {
-	b := LivenessBench(o)
+	var modes []LivenessModeResult
+	for _, run := range lvRuns {
+		modes = append(modes, runLivenessMode(o, run.label, run.withFaults, run.deadlines))
+	}
+	healthyOff, healthyOn, stallOff, stallOn := modes[0], modes[1], modes[2], modes[3]
+	// The deadline machinery's cost on a fault-free run, in points.
+	healthyHitDelta := math.Abs(healthyOn.HitPct - healthyOff.HitPct)
 	r := newResult("liveness", "Latency-budget liveness: bounded tails under transport chaos")
 
 	lat := Table{
@@ -266,7 +266,7 @@ func LivenessExp(o Opts) *Result {
 		Title:   "Deadline and admission accounting",
 		Columns: []string{"run", "deadline misses", "watchdog fails", "shed gets", "shed ops", "disk fallbacks", "leaks (w/s/p)", "injected faults"},
 	}
-	for _, m := range []LivenessModeResult{b.HealthyOff, b.HealthyOn, b.StallOff, b.StallOn} {
+	for _, m := range modes {
 		lat.Rows = append(lat.Rows, []string{
 			m.Label, f0(float64(m.Gets)), f1(m.GetP50US), f1(m.GetP99US), f1(m.GetMaxUS),
 			f1(m.HitPct), f1(m.MeanTickUS),
@@ -277,14 +277,36 @@ func LivenessExp(o Opts) *Result {
 			f0(float64(m.LeakedWaiters)) + "/" + f0(float64(m.LeakedStaged)) + "/" + f0(float64(m.LeakedPending)),
 			f0(float64(m.InjectedFaults)),
 		})
+		deadlines := 0.0
+		if m.Deadlines {
+			deadlines = 1
+		}
+		r.metric(m.Label+".deadlines", deadlines)
+		r.metric(m.Label+".gets", float64(m.Gets))
+		r.metric(m.Label+".get_p50_us", m.GetP50US)
+		r.metric(m.Label+".get_p99_us", m.GetP99US)
+		r.metric(m.Label+".get_max_us", m.GetMaxUS)
+		r.metric(m.Label+".hit_pct", m.HitPct)
+		r.metric(m.Label+".mean_tick_us", m.MeanTickUS)
+		r.metric(m.Label+".deadline_misses", float64(m.DeadlineMisses))
+		r.metric(m.Label+".watchdog_fails", float64(m.WatchdogFails))
+		r.metric(m.Label+".shed_gets", float64(m.ShedGets))
+		r.metric(m.Label+".shed_ops", float64(m.ShedOps))
+		r.metric(m.Label+".deadline_fallbacks", float64(m.DeadlineFallbacks))
+		r.metric(m.Label+".leaked_waiters", float64(m.LeakedWaiters))
+		r.metric(m.Label+".leaked_staged", float64(m.LeakedStaged))
+		r.metric(m.Label+".leaked_pending", float64(m.LeakedPending))
+		r.metric(m.Label+".injected_faults", float64(m.InjectedFaults))
 	}
 	r.Tables = append(r.Tables, lat, sum)
+	r.metric("budget_us", lvBudgetUS)
+	r.metric("healthy_hit_delta_points", healthyHitDelta)
 
 	r.note("under the stall plan with deadlines armed, p99 get latency is %.0f µs and max %.0f µs against a %.0f µs budget; with deadlines off the same plan drives max to %.0f µs",
-		b.StallOn.GetP99US, b.StallOn.GetMaxUS, b.BudgetUS, b.StallOff.GetMaxUS)
+		stallOn.GetP99US, stallOn.GetMaxUS, lvBudgetUS, stallOff.GetMaxUS)
 	r.note("healthy-baseline cost of the deadline machinery: hit ratio moves %.2f points (%.1f%% -> %.1f%%)",
-		b.HealthyHitDelta, b.HealthyOff.HitPct, b.HealthyOn.HitPct)
+		healthyHitDelta, healthyOff.HitPct, healthyOn.HitPct)
 	r.note("every over-budget crossing fails as a miss (cleancache contract: never an error, never data loss); the guest re-reads from its virtual disk — %d fallbacks under the stall plan, each paying the disk's own queueing instead of an unbounded transport wait",
-		b.StallOn.DeadlineFallbacks)
+		stallOn.DeadlineFallbacks)
 	return r
 }

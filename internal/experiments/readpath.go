@@ -2,7 +2,7 @@
 // the pipelined read path on (stock defaults: async tagged gets,
 // zero-copy bulk responses, readahead window) vs off (synchronous
 // probe-per-block — the pre-pipeline guest). Unlike the transport-level
-// readpath bench in cmd/ddbench, the traffic here flows through the full
+// readpath-transport experiment, the traffic here flows through the full
 // guest stack — pagecache.Cache.Read issuing Front.GetAsync handles over
 // each VM's hypercall transport — on the paper's Table 2 / Fig 7
 // read-heavy profile shape (~89% reads).
@@ -10,6 +10,7 @@
 package experiments
 
 import (
+	"fmt"
 	"time"
 
 	"doubledecker/internal/cgroup"
@@ -43,7 +44,7 @@ const (
 	rpMeasure      = 2 * time.Second
 )
 
-// rpGuestCounts is the guest sweep; the CI gate reads the 8-guest row.
+// rpGuestCounts is the guest sweep; the registry's gate reads the 8-guest row.
 var rpGuestCounts = []int{1, 4, 8}
 
 // rpProfile is the per-container closed-loop workload.
@@ -111,15 +112,6 @@ type ReadPathE2EMode struct {
 	ReadAheadGets int64
 	ReadAheadHits int64
 	DiskReads     int64
-}
-
-// ReadPathE2EResult pairs the pipeline-on and -off sweeps.
-type ReadPathE2EResult struct {
-	GuestCounts []int
-	On          []ReadPathE2EMode
-	Off         []ReadPathE2EMode
-	// Speedup maps guest count → on/off guest-observed read throughput.
-	Speedup map[int]float64
 }
 
 // runReadPathE2EMode runs one full-stack configuration.
@@ -207,33 +199,9 @@ func runReadPathE2EMode(o Opts, guests int, pipeline bool) ReadPathE2EMode {
 	return res
 }
 
-// rpCache memoizes sweeps so the registered experiment and ddbench's
-// JSON emission share them.
-var rpCache = map[Opts]ReadPathE2EResult{}
-
-// ReadPathE2EBench runs the guest sweep under both configurations.
-func ReadPathE2EBench(o Opts) ReadPathE2EResult {
-	if r, ok := rpCache[o]; ok {
-		return r
-	}
-	r := ReadPathE2EResult{GuestCounts: rpGuestCounts, Speedup: make(map[int]float64)}
-	for _, g := range rpGuestCounts {
-		on := runReadPathE2EMode(o, g, true)
-		off := runReadPathE2EMode(o, g, false)
-		r.On = append(r.On, on)
-		r.Off = append(r.Off, off)
-		if off.ReadBlocksPerSec > 0 {
-			r.Speedup[g] = on.ReadBlocksPerSec / off.ReadBlocksPerSec
-		}
-	}
-	rpCache[o] = r
-	return r
-}
-
 // ReadPathExp is the registered "readpath" experiment: the end-to-end
 // pipelined read path vs the synchronous baseline.
 func ReadPathExp(o Opts) *Result {
-	b := ReadPathE2EBench(o)
 	r := newResult("readpath", "End-to-end pipelined guest read path vs synchronous baseline")
 
 	t := Table{
@@ -241,20 +209,39 @@ func ReadPathExp(o Opts) *Result {
 		Columns: []string{"guests", "mode", "read MiB/s", "read %", "cc hit %",
 			"hypercalls", "async gets", "staged hits", "ra hits", "pages copied", "pages mapped"},
 	}
-	for i, g := range b.GuestCounts {
-		for _, m := range []ReadPathE2EMode{b.Off[i], b.On[i]} {
+	for _, g := range rpGuestCounts {
+		on := runReadPathE2EMode(o, g, true)
+		off := runReadPathE2EMode(o, g, false)
+		for _, m := range []ReadPathE2EMode{off, on} {
 			t.Rows = append(t.Rows, []string{
 				f0(float64(g)), m.Label, f1(m.ReadMBPerSec), f1(m.ReadPct), f1(m.CCHitPct),
 				f0(float64(m.Calls)), f0(float64(m.AsyncGets)), f0(float64(m.StagedHits)),
 				f0(float64(m.ReadAheadHits)), f0(float64(m.PagesCopied)), f0(float64(m.PagesMapped)),
 			})
+			row := fmt.Sprintf("%s/%dg.", m.Label, g)
+			r.metric(row+"read_blocks_per_vsec", m.ReadBlocksPerSec)
+			r.metric(row+"read_mib_per_vsec", m.ReadMBPerSec)
+			r.metric(row+"read_pct", m.ReadPct)
+			r.metric(row+"cc_hit_pct", m.CCHitPct)
+			r.metric(row+"hypercalls", float64(m.Calls))
+			r.metric(row+"async_gets", float64(m.AsyncGets))
+			r.metric(row+"staged_hits", float64(m.StagedHits))
+			r.metric(row+"readahead_gets", float64(m.ReadAheadGets))
+			r.metric(row+"readahead_hits", float64(m.ReadAheadHits))
+			r.metric(row+"pages_copied", float64(m.PagesCopied))
+			r.metric(row+"pages_mapped", float64(m.PagesMapped))
+			r.metric(row+"disk_reads", float64(m.DiskReads))
 		}
+		// Guest-observed read throughput, pipeline on over off.
+		speedup := 0.0
+		if off.ReadBlocksPerSec > 0 {
+			speedup = on.ReadBlocksPerSec / off.ReadBlocksPerSec
+		}
+		r.metric(fmt.Sprintf("pipeline_speedup_%dg", g), speedup)
+		r.note("%d guests: %.2fx guest-observed read throughput with the pipeline on", g, speedup)
 	}
 	r.Tables = append(r.Tables, t)
 
-	for _, g := range b.GuestCounts {
-		r.note("%d guests: %.2fx guest-observed read throughput with the pipeline on", g, b.Speedup[g])
-	}
 	r.note("steady state is page-cache miss → second-chance hit: the pipeline converts the per-block synchronous crossing (call + page copy) into staged consumption fed by READ_AHEAD, async tagged gets, and zero-copy handover")
 	return r
 }

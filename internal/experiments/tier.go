@@ -5,7 +5,7 @@
 // through the write-behind queue and come back as slow hits with the
 // modeled object-store round trip (and bill) charged. The comparison
 // holds mem+SSD constant, so any hit-ratio gain is the third tier's
-// doing — that gain is the CI gate ddbench applies to this scenario.
+// doing — that gain is the gate the registry puts on this scenario.
 
 package experiments
 
@@ -18,7 +18,6 @@ import (
 	"doubledecker/internal/hypervisor"
 	"doubledecker/internal/sim"
 	"doubledecker/internal/store/remote"
-	"doubledecker/internal/wallclock"
 )
 
 // tier scenario geometry: a 32 MiB cyclic working set against 2 MiB of
@@ -50,8 +49,6 @@ type TierModeResult struct {
 	// slow hits pay the modeled remote round trip, misses pay the disk.
 	TickUS float64
 	Ticks  int64
-	// WallNSPerTick is host wall-clock per tick (simulator throughput).
-	WallNSPerTick float64
 	// Demotions is the write-behind queue's final accounting.
 	Demotions ddcache.DemotionStats
 	// PoolDemotions counts objects the pool moved down the ladder.
@@ -60,15 +57,6 @@ type TierModeResult struct {
 	Breaker ddcache.BreakerStats
 	// Cost is the modeled object-store bill (requests, bytes, nano-$).
 	Cost remote.CostStats
-}
-
-// TierBenchResult pairs the remote-off baseline with the remote-on run.
-type TierBenchResult struct {
-	Off TierModeResult
-	On  TierModeResult
-	// HitGain is the remote-on hit ratio minus the remote-off one, in
-	// points. The third tier earns its keep only if this is positive.
-	HitGain float64
 }
 
 // runTierMode executes the overcommit scenario with or without the
@@ -110,11 +98,9 @@ func runTierMode(o Opts, label string, remoteMiB int64) TierModeResult {
 		free = now + l
 	})
 
-	elapsed := wallclock.Stopwatch()
 	engine.Run(o.scaled(tiDuration))
 	vm.Front().FlushTransport(engine.Now())
 	host.Manager().FlushDemotions(engine.Now())
-	wall := elapsed()
 
 	res := TierModeResult{
 		Label:         label,
@@ -130,34 +116,18 @@ func runTierMode(o Opts, label string, remoteMiB int64) TierModeResult {
 	}
 	if ticks > 0 {
 		res.TickUS = float64(latSum.Microseconds()) / float64(ticks)
-		res.WallNSPerTick = float64(wall.Nanoseconds()) / float64(ticks)
 	}
 	return res
 }
 
-// tiCache memoizes runs so the registered experiment and ddbench's JSON
-// emission share them.
-var tiCache = map[Opts]TierBenchResult{}
-
-// TierBench runs the overcommit scenario with the remote tier off and on
-// at identical mem+SSD capacities.
-func TierBench(o Opts) TierBenchResult {
-	if r, ok := tiCache[o]; ok {
-		return r
-	}
-	r := TierBenchResult{
-		Off: runTierMode(o, "remote-off", 0),
-		On:  runTierMode(o, "remote-on", tiRemoteMiB),
-	}
-	r.HitGain = r.On.HitPct - r.Off.HitPct
-	tiCache[o] = r
-	return r
-}
-
 // TierExp is the registered "tier" experiment: capacity overcommit with
-// and without the remote third tier.
+// and without the remote third tier at identical mem+SSD capacities.
 func TierExp(o Opts) *Result {
-	b := TierBench(o)
+	off := runTierMode(o, "remote-off", 0)
+	on := runTierMode(o, "remote-on", tiRemoteMiB)
+	// The third tier earns its keep only if this is positive.
+	hitGain := on.HitPct - off.HitPct
+	modes := []TierModeResult{off, on}
 	r := newResult("tier", "Remote third tier under capacity overcommit")
 
 	sum := Table{
@@ -165,14 +135,21 @@ func TierExp(o Opts) *Result {
 		Columns: []string{"run", "remote MiB", "hit %", "tick µs",
 			"demoted", "dropped", "cancelled", "pool demotions"},
 	}
-	for _, m := range []TierModeResult{b.Off, b.On} {
+	for _, m := range modes {
 		d := m.Demotions
+		dropped := float64(d.DroppedFull + d.DroppedError + d.DroppedBreaker)
 		sum.Rows = append(sum.Rows, []string{
 			m.Label, f0(float64(m.RemoteMiB)), f1(m.HitPct), f1(m.TickUS),
-			f0(float64(d.Drained)),
-			f0(float64(d.DroppedFull + d.DroppedError + d.DroppedBreaker)),
+			f0(float64(d.Drained)), f0(dropped),
 			f0(float64(d.Cancelled)), f0(float64(m.PoolDemotions)),
 		})
+		r.metric(m.Label+".remote_mib", float64(m.RemoteMiB))
+		r.metric(m.Label+".hit_pct", m.HitPct)
+		r.metric(m.Label+".tick_us", m.TickUS)
+		r.metric(m.Label+".ticks", float64(m.Ticks))
+		r.metric(m.Label+".demoted", float64(d.Drained))
+		r.metric(m.Label+".demotions_dropped", dropped)
+		r.metric(m.Label+".demotions_cancelled", float64(d.Cancelled))
 	}
 	r.Tables = append(r.Tables, sum)
 
@@ -180,7 +157,7 @@ func TierExp(o Opts) *Result {
 		Title:   "Modeled object-store bill",
 		Columns: []string{"run", "requests", "MiB moved", "cost m$", "breaker", "trips"},
 	}
-	for _, m := range []TierModeResult{b.Off, b.On} {
+	for _, m := range modes {
 		state := "-"
 		if m.RemoteMiB > 0 {
 			state = m.Breaker.State
@@ -189,12 +166,17 @@ func TierExp(o Opts) *Result {
 			m.Label, f0(float64(m.Cost.Requests)), f1(mib(m.Cost.Bytes)),
 			f2(float64(m.Cost.CostNanos) / 1e6), state, f0(float64(m.Breaker.Trips)),
 		})
+		r.metric(m.Label+".remote_requests", float64(m.Cost.Requests))
+		r.metric(m.Label+".remote_bytes", float64(m.Cost.Bytes))
+		r.metric(m.Label+".remote_cost_nanos", float64(m.Cost.CostNanos))
+		r.metric(m.Label+".breaker_trips", float64(m.Breaker.Trips))
 	}
 	r.Tables = append(r.Tables, bill)
+	r.metric("hit_gain_points", hitGain)
 
 	r.note("hit ratio %0.1f%% → %0.1f%% (+%.1f points) from the remote tier at identical mem+SSD; each slow hit paid the modeled round trip instead of a disk read",
-		b.Off.HitPct, b.On.HitPct, b.HitGain)
+		off.HitPct, on.HitPct, hitGain)
 	r.note("write-behind drained %d demotions (%d cancelled by invalidation) at a modeled bill of %d requests / %.1f MiB",
-		b.On.Demotions.Drained, b.On.Demotions.Cancelled, b.On.Cost.Requests, mib(b.On.Cost.Bytes))
+		on.Demotions.Drained, on.Demotions.Cancelled, on.Cost.Requests, mib(on.Cost.Bytes))
 	return r
 }

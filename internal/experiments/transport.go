@@ -15,7 +15,6 @@ import (
 	"doubledecker/internal/hypervisor"
 	"doubledecker/internal/metrics"
 	"doubledecker/internal/sim"
-	"doubledecker/internal/wallclock"
 )
 
 // transport scenario geometry: a 64 MiB file streamed through a 16 MiB
@@ -47,18 +46,6 @@ type TransportModeResult struct {
 	MeanBatchOps float64 // mean batch occupancy (ops per crossing)
 	// OpLatencyNS maps op-code name → mean charged latency in ns.
 	OpLatencyNS map[string]int64
-	// WallNSPerOp is host wall-clock per delivered op (simulator
-	// throughput, not virtual time); excluded from the deterministic
-	// report, used by ddbench's JSON emission.
-	WallNSPerOp float64
-}
-
-// TransportBenchResult pairs the two modes.
-type TransportBenchResult struct {
-	Batched   TransportModeResult
-	Unbatched TransportModeResult
-	// Reduction is unbatched hypercalls / batched hypercalls.
-	Reduction float64
 }
 
 // runTransportMode replays the sequential-write schedule over one
@@ -97,13 +84,8 @@ func runTransportMode(o Opts, label string, unbatched bool) TransportModeResult 
 		}
 	})
 
-	// Host wall time for the WallNSPerOp throughput figure comes from the
-	// injectable wall clock: virtual time stays on engine.Now(), and tests
-	// can pin the source to make even this field deterministic.
-	elapsed := wallclock.Stopwatch()
 	engine.Run(o.scaled(trDuration))
 	vm.Front().FlushTransport(engine.Now())
-	wall := elapsed()
 
 	st := host.Transport(1).Stats()
 	res := TransportModeResult{
@@ -118,7 +100,6 @@ func runTransportMode(o Opts, label string, unbatched bool) TransportModeResult 
 	}
 	if res.Ops > 0 {
 		res.CallsPerOp = float64(res.Calls) / float64(res.Ops)
-		res.WallNSPerOp = float64(wall.Nanoseconds()) / float64(res.Ops)
 	}
 	res.HitPct = host.Manager().PoolStats(1, pool).HitRatio()
 	res.MeanBatchOps = reg.Series("hypercall.batch_ops").Mean()
@@ -130,30 +111,15 @@ func runTransportMode(o Opts, label string, unbatched bool) TransportModeResult 
 	return res
 }
 
-// trCache memoizes runs so the registered experiment and ddbench's JSON
-// emission share them.
-var trCache = map[Opts]TransportBenchResult{}
-
-// TransportBench runs the scenario under both transports.
-func TransportBench(o Opts) TransportBenchResult {
-	if r, ok := trCache[o]; ok {
-		return r
-	}
-	r := TransportBenchResult{
-		Batched:   runTransportMode(o, "batched", false),
-		Unbatched: runTransportMode(o, "unbatched", true),
-	}
-	if r.Batched.Calls > 0 {
-		r.Reduction = float64(r.Unbatched.Calls) / float64(r.Batched.Calls)
-	}
-	trCache[o] = r
-	return r
-}
-
 // TransportExp is the registered "transport" experiment: hypercall
 // traffic with and without batching at equal hit ratio.
 func TransportExp(o Opts) *Result {
-	b := TransportBench(o)
+	batched := runTransportMode(o, "batched", false)
+	unbatched := runTransportMode(o, "unbatched", true)
+	reduction := 0.0
+	if batched.Calls > 0 {
+		reduction = float64(unbatched.Calls) / float64(batched.Calls)
+	}
 	r := newResult("transport", "Batched vs unbatched hypercall transport, sequential-write workload")
 
 	traffic := Table{
@@ -161,11 +127,18 @@ func TransportExp(o Opts) *Result {
 		Columns: []string{"transport", "hypercalls", "ops", "hypercalls/op",
 			"pages copied", "batches", "mean batch ops", "hit %"},
 	}
-	for _, m := range []TransportModeResult{b.Unbatched, b.Batched} {
+	for _, m := range []TransportModeResult{unbatched, batched} {
 		traffic.Rows = append(traffic.Rows, []string{
 			m.Label, f0(float64(m.Calls)), f0(float64(m.Ops)), f2(m.CallsPerOp),
 			f0(float64(m.PagesCopied)), f0(float64(m.Batches)), f1(m.MeanBatchOps), f1(m.HitPct),
 		})
+		r.metric(m.Label+".hypercalls", float64(m.Calls))
+		r.metric(m.Label+".ops", float64(m.Ops))
+		r.metric(m.Label+".hypercalls_per_op", m.CallsPerOp)
+		r.metric(m.Label+".pages_copied", float64(m.PagesCopied))
+		r.metric(m.Label+".batches", float64(m.Batches))
+		r.metric(m.Label+".mean_batch_ops", m.MeanBatchOps)
+		r.metric(m.Label+".hit_pct", m.HitPct)
 	}
 	r.Tables = append(r.Tables, traffic)
 
@@ -174,17 +147,23 @@ func TransportExp(o Opts) *Result {
 		Columns: []string{"op", "unbatched", "batched"},
 	}
 	for _, op := range cleancache.OpCodes() {
-		ub, okU := b.Unbatched.OpLatencyNS[op.String()]
-		bb, okB := b.Batched.OpLatencyNS[op.String()]
+		ub, okU := unbatched.OpLatencyNS[op.String()]
+		bb, okB := batched.OpLatencyNS[op.String()]
 		if !okU && !okB {
 			continue
 		}
 		lat.Rows = append(lat.Rows, []string{op.String(), f0(float64(ub)), f0(float64(bb))})
+		for _, m := range []TransportModeResult{unbatched, batched} {
+			if ns, ok := m.OpLatencyNS[op.String()]; ok {
+				r.metric(m.Label+".op_latency_ns."+op.String(), float64(ns))
+			}
+		}
 	}
 	r.Tables = append(r.Tables, lat)
+	r.metric("hypercall_reduction", reduction)
 
 	r.note("hypercall reduction: %.1fx fewer world switches with batching (%d → %d) at equal hit ratio (%.1f%% vs %.1f%%)",
-		b.Reduction, b.Unbatched.Calls, b.Batched.Calls, b.Unbatched.HitPct, b.Batched.HitPct)
+		reduction, unbatched.Calls, batched.Calls, unbatched.HitPct, batched.HitPct)
 	r.note("gets and control ops stay synchronous and drain the ring first, so the backend observes the unbatched op order; puts/flushes amortize one world switch across up to 512 ops / 2 MiB of pages")
 	return r
 }
