@@ -113,12 +113,9 @@ type HostConfig struct {
 	// modeled service.
 	RemoteCacheMiB int64         `json:"remoteCacheMiB,omitempty"`
 	Remote         *RemoteConfig `json:"remote,omitempty"`
-	// ReadAheadWindow overrides the guests' pipelined-read window in
-	// blocks: 0 keeps the stock default, negative disables readahead
-	// while keeping the async transport.
-	ReadAheadWindow int `json:"readAheadWindow,omitempty"`
-	// NoPipeline disables the stock pipelined-read defaults (async
-	// tagged gets, zero-copy responses, readahead) — the synchronous
+	// NoPipeline withholds the stock pipelined-read defaults (async
+	// tagged gets, zero-copy responses, readahead): the read path runs
+	// one probe at a time, each paying its own crossing — the
 	// pre-pipeline baseline for A/B scenarios.
 	NoPipeline bool `json:"noPipeline,omitempty"`
 }
@@ -303,7 +300,6 @@ func simulate(cfg Config, out *os.File) error {
 		MemCacheBytes:    cfg.Host.MemCacheMiB * mib,
 		SSDCacheBytes:    cfg.Host.SSDCacheMiB * mib,
 		RemoteCacheBytes: cfg.Host.RemoteCacheMiB * mib,
-		ReadAheadWindow:  cfg.Host.ReadAheadWindow,
 		NoPipeline:       cfg.Host.NoPipeline,
 	}
 	if rc := cfg.Host.Remote; rc != nil {

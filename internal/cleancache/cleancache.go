@@ -501,9 +501,8 @@ const maxTrackedStreams = 256
 // it on the VM's transport, so call sites read as the kernel hooks they
 // model while everything crosses the boundary as ops.
 type Front struct {
-	vm      VMID
-	tr      Transport
-	enabled bool
+	vm VMID
+	tr Transport
 	// filter implements the paper's cgroup-name filter: only matching
 	// containers get hypervisor cache pools. Nil admits every container.
 	filter func(name string) bool
@@ -523,7 +522,7 @@ type Front struct {
 
 // NewFront wires a VM's cleancache layer to a backend over tr.
 func NewFront(vm VMID, tr Transport) *Front {
-	return &Front{vm: vm, tr: tr, enabled: true}
+	return &Front{vm: vm, tr: tr}
 }
 
 // VM reports the owning VM id.
@@ -531,13 +530,6 @@ func (f *Front) VM() VMID { return f.vm }
 
 // Transport exposes the VM's transport (for telemetry and draining).
 func (f *Front) Transport() Transport { return f.tr }
-
-// SetEnabled toggles the whole second-chance path (cleancache off = the
-// paper's "no hypervisor cache" configurations).
-func (f *Front) SetEnabled(on bool) { f.enabled = on }
-
-// Enabled reports whether the second-chance path is active.
-func (f *Front) Enabled() bool { return f.enabled }
 
 // SetFilter installs the cgroup-name filter.
 func (f *Front) SetFilter(filter func(name string) bool) { f.filter = filter }
@@ -568,7 +560,7 @@ func (f *Front) FlushTransport(now time.Duration) time.Duration {
 // pool and records the id on the cgroup. Containers rejected by the filter
 // keep pool id zero and bypass the hypervisor cache entirely.
 func (f *Front) RegisterGroup(now time.Duration, g *cgroup.Group) time.Duration {
-	if !f.enabled || (f.filter != nil && !f.filter(g.Name())) {
+	if f.filter != nil && !f.filter(g.Name()) {
 		return 0
 	}
 	resp := f.tr.Submit(now, Request{Op: OpCreateCgroup, VM: f.vm, Name: g.Name(), Spec: g.Spec()})
@@ -596,23 +588,13 @@ func (f *Front) UpdateSpec(now time.Duration, g *cgroup.Group) time.Duration {
 	return resp.Latency
 }
 
-// Get looks up a block on page cache miss. A hit moves the page to the
-// guest (one page copied) and removes it from the hypervisor cache.
+// Get looks up a block on page cache miss and waits for the answer: a
+// GetAsync redeemed on the spot. A hit moves the page to the guest (one
+// page copied) and removes it from the hypervisor cache.
 func (f *Front) Get(now time.Duration, g *cgroup.Group, inode uint64, block int64) (bool, time.Duration) {
-	if !f.enabled || g.PoolID() == 0 {
-		return false, 0
-	}
-	f.stats.Gets++
-	key := Key{Pool: PoolID(g.PoolID()), Inode: inode, Block: block}
-	resp := f.tr.Submit(now, Request{Op: OpGet, VM: f.vm, Key: key})
-	if resp.Ok {
-		f.stats.GetHits++
-	}
-	lat := resp.Latency
-	if f.readAhead > 0 {
-		lat += f.noteAccess(now+lat, key)
-	}
-	return resp.Ok, lat
+	pr, lat := f.GetAsync(now, g, inode, block)
+	hit, wait := f.AwaitRead(now+lat, pr)
+	return hit, lat + wait
 }
 
 // PendingRead is the guest-visible handle for one in-flight
@@ -624,13 +606,10 @@ func (f *Front) Get(now time.Duration, g *cgroup.Group, inode uint64, block int6
 //
 // ddlint:linear
 type PendingRead struct {
-	pg   *PendingGet // nil on the fast-miss and sync-fallback paths
+	pg   *PendingGet // nil on the fast-miss path (no pool)
 	done bool
 	hit  bool
 }
-
-// Hit reports the lookup verdict of a redeemed handle.
-func (pr *PendingRead) Hit() bool { return pr.hit }
 
 // Expired reports whether a redeemed handle missed because its latency
 // budget ran out rather than because the block was absent — the signal
@@ -640,32 +619,29 @@ func (pr *PendingRead) Expired() bool { return pr.pg != nil && pr.pg.DeadlineExc
 // GetAsync issues a second-chance lookup without waiting for its answer.
 // On an AsyncTransport the get is submitted as an in-flight frame and
 // the returned latency covers only the submission cost charged now (any
-// ring drain it triggered); on a plain Transport it falls back to the
-// synchronous Get path and returns an already-redeemable handle whose
-// AwaitRead costs nothing more. Either way the sequential-stream
-// detector observes the access at submission, so readahead for the
-// blocks beyond the caller's window is already on the wire while the
-// caller is still issuing or awaiting handles.
+// ring drain it triggered); a plain Transport answers at submission, so
+// the latency is the whole lookup and the handle's AwaitRead costs
+// nothing more. Either way the sequential-stream detector observes the
+// access at submission, so readahead for the blocks beyond the caller's
+// window is already on the wire while the caller is still issuing or
+// awaiting handles.
 func (f *Front) GetAsync(now time.Duration, g *cgroup.Group, inode uint64, block int64) (*PendingRead, time.Duration) {
-	if !f.enabled || g.PoolID() == 0 {
+	if g.PoolID() == 0 {
 		return &PendingRead{done: true}, 0
 	}
 	f.stats.Gets++
 	key := Key{Pool: PoolID(g.PoolID()), Inode: inode, Block: block}
 	req := Request{Op: OpGet, VM: f.vm, Key: key}
-	at, ok := f.tr.(AsyncTransport)
-	if !ok {
+	var (
+		pg  *PendingGet
+		lat time.Duration
+	)
+	if at, ok := f.tr.(AsyncTransport); ok {
+		pg, lat = at.SubmitAsync(now, req)
+	} else {
 		resp := f.tr.Submit(now, req)
-		if resp.Ok {
-			f.stats.GetHits++
-		}
-		lat := resp.Latency
-		if f.readAhead > 0 {
-			lat += f.noteAccess(now+lat, key)
-		}
-		return &PendingRead{done: true, hit: resp.Ok}, lat
+		pg, lat = CompletedPendingGet(resp, now+resp.Latency), resp.Latency
 	}
-	pg, lat := at.SubmitAsync(now, req)
 	if f.readAhead > 0 {
 		lat += f.noteAccess(now+lat, key)
 	}
@@ -675,20 +651,17 @@ func (f *Front) GetAsync(now time.Duration, g *cgroup.Group, inode uint64, block
 // AwaitRead redeems a GetAsync handle, returning the lookup verdict and
 // the wait remaining from now until the answer's page handover
 // completes. The first redemption counts the hit; later redemptions (and
-// handles from the fallback path) return the recorded verdict at no
-// further cost.
+// fast-miss handles) return the recorded verdict at no further cost.
 func (f *Front) AwaitRead(now time.Duration, pr *PendingRead) (bool, time.Duration) {
 	if pr.done {
 		return pr.hit, 0
 	}
-	at, ok := f.tr.(AsyncTransport)
-	if !ok {
-		// Cannot happen — a pending handle is only created over an
-		// AsyncTransport — but a miss verdict is always safe.
-		pr.done = true
-		return false, 0
+	var resp Response
+	if at, ok := f.tr.(AsyncTransport); ok {
+		resp = at.Await(now, pr.pg)
+	} else {
+		resp, _ = pr.pg.Resolve(now, 0) // answered at submission
 	}
-	resp := at.Await(now, pr.pg)
 	pr.done, pr.hit = true, resp.Ok
 	if resp.Ok {
 		f.stats.GetHits++
@@ -748,7 +721,7 @@ func (f *Front) noteAccess(now time.Duration, key Key) time.Duration {
 // (pool, inode) starting at block — the READ_AHEAD op the sequential
 // detector drives. Exposed for tests and custom prefetch policies.
 func (f *Front) ReadAhead(now time.Duration, pool PoolID, inode uint64, block, count int64) time.Duration {
-	if !f.enabled || pool == 0 || count <= 0 {
+	if pool == 0 || count <= 0 {
 		return 0
 	}
 	f.stats.ReadAheads++
@@ -766,7 +739,7 @@ func (f *Front) ReadAhead(now time.Duration, pool PoolID, inode uint64, block, c
 // acceptance is then optimistic, which is harmless because the guest
 // drops the page either way (fire-and-forget, as in the paper).
 func (f *Front) Put(now time.Duration, g *cgroup.Group, inode uint64, block int64, content uint64) (bool, time.Duration) {
-	if !f.enabled || g.PoolID() == 0 {
+	if g.PoolID() == 0 {
 		return false, 0
 	}
 	f.stats.Puts++
@@ -780,7 +753,7 @@ func (f *Front) Put(now time.Duration, g *cgroup.Group, inode uint64, block int6
 
 // FlushPage invalidates one block (dirtied or truncated in the guest).
 func (f *Front) FlushPage(now time.Duration, g *cgroup.Group, inode uint64, block int64) time.Duration {
-	if !f.enabled || g.PoolID() == 0 {
+	if g.PoolID() == 0 {
 		return 0
 	}
 	f.stats.Flushes++
@@ -793,7 +766,7 @@ func (f *Front) FlushPage(now time.Duration, g *cgroup.Group, inode uint64, bloc
 
 // FlushInode invalidates a whole file (deletion).
 func (f *Front) FlushInode(now time.Duration, g *cgroup.Group, inode uint64) time.Duration {
-	if !f.enabled || g.PoolID() == 0 {
+	if g.PoolID() == 0 {
 		return 0
 	}
 	f.stats.Flushes++
@@ -807,7 +780,7 @@ func (f *Front) FlushInode(now time.Duration, g *cgroup.Group, inode uint64) tim
 // MigrateInode handles MIGRATE_OBJECT when a shared file's ownership moves
 // between containers.
 func (f *Front) MigrateInode(now time.Duration, from, to *cgroup.Group, inode uint64) time.Duration {
-	if !f.enabled || from.PoolID() == 0 || to.PoolID() == 0 {
+	if from.PoolID() == 0 || to.PoolID() == 0 {
 		return 0
 	}
 	f.stats.Migrates++

@@ -1,6 +1,7 @@
 package cleancache
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -189,18 +190,64 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDisabledFrontIsInert(t *testing.T) {
-	f, _, g := newTestFront()
-	f.RegisterGroup(0, g)
-	f.SetEnabled(false)
-	if !f.Enabled() == false {
-		t.Fatal("Enabled() broken")
+// recTransport records every request it carries to the backend.
+type recTransport struct {
+	Transport
+	reqs []Request
+}
+
+func (r *recTransport) Submit(now time.Duration, req Request) Response {
+	r.reqs = append(r.reqs, req)
+	return r.Transport.Submit(now, req)
+}
+
+func TestGetIsGetAsyncPlusAwaitRead(t *testing.T) {
+	// The synchronous lookup is the async one redeemed on the spot: the
+	// same traffic (detector readaheads included), the same counters, the
+	// same verdicts and latencies.
+	run := func(lookup func(f *Front, g *cgroup.Group, b int64) (bool, time.Duration)) (FrontStats, []Request, []bool, time.Duration) {
+		be := newFakeBackend()
+		tr := &recTransport{Transport: NewBackendTransport(be)}
+		f := NewFront(1, tr)
+		f.SetReadAhead(4)
+		g := cgroup.NewRoot(1<<30, 0).NewGroup("c1", 0, blockdev.NewHDD("sw"))
+		f.RegisterGroup(0, g)
+		for _, b := range []int64{0, 2, 3, 5, 6, 7} {
+			f.Put(0, g, 9, b, 0)
+		}
+		var (
+			hits  []bool
+			total time.Duration
+		)
+		for b := int64(0); b < 8; b++ {
+			hit, lat := lookup(f, g, b)
+			hits = append(hits, hit)
+			total += lat
+		}
+		return f.Stats(), tr.reqs, hits, total
 	}
-	if ok, _ := f.Put(0, g, 1, 1, 0); ok {
-		t.Fatal("disabled front accepted put")
+	syncStats, syncReqs, syncHits, syncLat := run(func(f *Front, g *cgroup.Group, b int64) (bool, time.Duration) {
+		return f.Get(0, g, 9, b)
+	})
+	asyncStats, asyncReqs, asyncHits, asyncLat := run(func(f *Front, g *cgroup.Group, b int64) (bool, time.Duration) {
+		pr, lat := f.GetAsync(0, g, 9, b)
+		hit, wait := f.AwaitRead(lat, pr)
+		if again, cost := f.AwaitRead(lat+wait, pr); again != hit || cost != 0 {
+			t.Fatalf("block %d: second redemption = (%v, %v), want (%v, 0)", b, again, cost, hit)
+		}
+		return hit, lat + wait
+	})
+	if syncStats != asyncStats {
+		t.Fatalf("FrontStats differ: Get %+v, GetAsync+AwaitRead %+v", syncStats, asyncStats)
 	}
-	if hit, _ := f.Get(0, g, 1, 1); hit {
-		t.Fatal("disabled front returned hit")
+	if syncStats.Gets != 8 || syncStats.GetHits == 0 || syncStats.ReadAheads == 0 {
+		t.Fatalf("scenario did not exercise hits and readahead: %+v", syncStats)
+	}
+	if !reflect.DeepEqual(syncReqs, asyncReqs) {
+		t.Fatalf("requests differ:\n Get      %+v\n GetAsync %+v", syncReqs, asyncReqs)
+	}
+	if !reflect.DeepEqual(syncHits, asyncHits) || syncLat != asyncLat {
+		t.Fatalf("verdicts/latency differ: Get %v %v, GetAsync %v %v", syncHits, syncLat, asyncHits, asyncLat)
 	}
 }
 

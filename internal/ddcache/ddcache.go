@@ -157,9 +157,6 @@ type Config struct {
 	// with the same content identity share one physical copy (the
 	// extension the paper names in its related-work discussion).
 	Dedup bool
-	// DedupShards is the stripe width of the sharded content-reference
-	// table; 0 selects DefaultDedupShards.
-	DedupShards int
 	// Inclusive disables the exclusive-caching protocol: gets leave the
 	// object in the cache, so guest page cache and hypervisor cache hold
 	// duplicate copies — the wasteful design the paper's §2 argues
@@ -332,7 +329,7 @@ func NewManager(cfg Config) *Manager {
 	m := &Manager{
 		cfg:      cfg,
 		nextPool: 1,
-		dedup:    newDedupTable(cfg.DedupShards),
+		dedup:    newDedupTable(),
 	}
 	m.epoch.Store(emptyEpoch())
 	// The tier table: the one place a tier's backend, breaker tuning and

@@ -6,11 +6,11 @@ import (
 	"doubledecker/internal/metrics"
 )
 
-// DefaultDedupShards is the stripe width of the content-reference table.
+// dedupShards is the stripe width of the content-reference table.
 // 64 shards keep the collision probability of two concurrent putters
 // landing on the same shard mutex below 2% at 8 writers while costing
 // under 8 KiB of table headers.
-const DefaultDedupShards = 64
+const dedupShards = 64
 
 // dedupShard is one stripe of the content-reference table. Each shard
 // self-locks; shard mutexes are leaves of the lock hierarchy (acquired
@@ -34,13 +34,10 @@ type dedupTable struct {
 	saved *metrics.StripedCounter
 }
 
-func newDedupTable(n int) *dedupTable {
-	if n < 1 {
-		n = DefaultDedupShards
-	}
+func newDedupTable() *dedupTable {
 	t := &dedupTable{
-		shards: make([]dedupShard, n),
-		saved:  metrics.NewStripedCounter(n),
+		shards: make([]dedupShard, dedupShards),
+		saved:  metrics.NewStripedCounter(dedupShards),
 	}
 	for i := range t.shards {
 		// Construction is single-threaded, but take the shard lock anyway

@@ -1,11 +1,12 @@
 // End-to-end readpath experiment: guest-observed read throughput with
 // the pipelined read path on (stock defaults: async tagged gets,
-// zero-copy bulk responses, readahead window) vs off (synchronous
-// probe-per-block — the pre-pipeline guest). Unlike the transport-level
-// readpath-transport experiment, the traffic here flows through the full
-// guest stack — pagecache.Cache.Read issuing Front.GetAsync handles over
-// each VM's hypercall transport — on the paper's Table 2 / Fig 7
-// read-heavy profile shape (~89% reads).
+// zero-copy bulk responses, readahead window) vs off (the same read
+// loop at window 1 over a transport without async gets: one probe
+// outstanding, each paying its own crossing — the pre-pipeline guest).
+// Unlike the transport-level readpath-transport experiment, the traffic
+// here flows through the full guest stack — pagecache.Cache.Read issuing
+// Front.GetAsync handles over each VM's hypercall transport — on the
+// paper's Table 2 / Fig 7 read-heavy profile shape (~89% reads).
 
 package experiments
 

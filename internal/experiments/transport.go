@@ -56,7 +56,7 @@ func runTransportMode(o Opts, label string, unbatched bool) TransportModeResult 
 	// NoPipeline on both modes: this experiment isolates batching, so the
 	// stock pipelined-read defaults (async gets, readahead) must not give
 	// the batched side a different op schedule than the unbatched
-	// baseline.
+	// baseline — both run the read loop one probe at a time.
 	host := hypervisor.New(engine, hypervisor.Config{
 		MemCacheBytes: trMemCacheMiB * MiB,
 		Transport:     hypercall.Options{Unbatched: unbatched},

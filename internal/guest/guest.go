@@ -24,27 +24,30 @@ import (
 // shallow enough to stay well inside the transport's staging buffer.
 const DefaultReadAheadWindow = 32
 
+const (
+	// kernelReserveBytes approximates the guest kernel footprint.
+	kernelReserveBytes = 64 << 20
+	// flushInterval is the background writeback period and
+	// flushBatchPages (8 MiB) bounds each round.
+	flushInterval   = time.Second
+	flushBatchPages = 2048
+	// hypercallFlushInterval is the period of the transport flush tick
+	// that drains buffered hypercall batches so puts and flushes never
+	// linger unsent.
+	hypercallFlushInterval = 10 * time.Millisecond
+)
+
 // Config parameterizes a VM; zero fields select the documented defaults.
 type Config struct {
 	ID       cleancache.VMID
 	MemBytes int64
-	// KernelReserveBytes approximates the guest kernel footprint;
-	// defaults to 64 MiB.
-	KernelReserveBytes int64
-	// FlushInterval is the background writeback period (default 1s).
-	FlushInterval time.Duration
-	// FlushBatchPages bounds each background writeback round
-	// (default 2048 pages = 8 MiB).
-	FlushBatchPages int
-	// HypercallFlushInterval is the period of the transport flush tick
-	// that drains buffered hypercall batches so puts and flushes never
-	// linger unsent (default 10ms).
-	HypercallFlushInterval time.Duration
-	// ReadAheadWindow enables the pipelined read path: sequential-stream
-	// detection in the cleancache front (READ_AHEAD ops prefetching up to
-	// this many blocks ahead into the hypervisor-side staging buffer) and
-	// the page cache's async probe window of the same depth
-	// (pagecache.Cache.SetReadWindow). Zero disables both.
+	// ReadAheadWindow is the depth of the one read path's pipeline:
+	// sequential-stream detection in the cleancache front (READ_AHEAD ops
+	// prefetching up to this many blocks ahead into the hypervisor-side
+	// staging buffer) and the page cache's probe window of the same depth
+	// (pagecache.Cache.SetReadWindow). Zero is detection off and one
+	// probe outstanding at a time — over a transport without async gets,
+	// the pre-pipeline baseline.
 	ReadAheadWindow int
 	// WatchdogPeriod drives the transport deadline watchdog: every period
 	// the VM sweeps its transport (cleancache.DeadlineTransport.Watchdog)
@@ -75,18 +78,6 @@ type VM struct {
 
 // New builds a VM. front may be nil to run without a second-chance cache.
 func New(engine *sim.Engine, cfg Config, front *cleancache.Front) *VM {
-	if cfg.KernelReserveBytes == 0 {
-		cfg.KernelReserveBytes = 64 << 20
-	}
-	if cfg.FlushInterval == 0 {
-		cfg.FlushInterval = time.Second
-	}
-	if cfg.FlushBatchPages == 0 {
-		cfg.FlushBatchPages = 2048
-	}
-	if cfg.HypercallFlushInterval == 0 {
-		cfg.HypercallFlushInterval = 10 * time.Millisecond
-	}
 	disk := cfg.Disk
 	if disk == nil {
 		disk = blockdev.NewHDD(fmt.Sprintf("vm%d-disk", cfg.ID))
@@ -94,7 +85,7 @@ func New(engine *sim.Engine, cfg Config, front *cleancache.Front) *VM {
 	vm := &VM{
 		id:     cfg.ID,
 		engine: engine,
-		root:   cgroup.NewRoot(cfg.MemBytes, cfg.KernelReserveBytes),
+		root:   cgroup.NewRoot(cfg.MemBytes, kernelReserveBytes),
 		disk:   disk,
 		alloc:  fsmodel.NewAllocator(),
 		front:  front,
@@ -103,14 +94,12 @@ func New(engine *sim.Engine, cfg Config, front *cleancache.Front) *VM {
 		front.SetReadAhead(cfg.ReadAheadWindow)
 	}
 	vm.cache = pagecache.New(vm.root, front, vm.disk)
-	if front != nil && cfg.ReadAheadWindow > 0 {
-		vm.cache.SetReadWindow(cfg.ReadAheadWindow)
-	}
-	vm.flusher = engine.Every(cfg.FlushInterval, func() {
-		vm.cache.FlushDirty(engine.Now(), cfg.FlushBatchPages)
+	vm.cache.SetReadWindow(cfg.ReadAheadWindow)
+	vm.flusher = engine.Every(flushInterval, func() {
+		vm.cache.FlushDirty(engine.Now(), flushBatchPages)
 	})
 	if front != nil {
-		vm.hcFlusher = engine.Every(cfg.HypercallFlushInterval, func() {
+		vm.hcFlusher = engine.Every(hypercallFlushInterval, func() {
 			front.FlushTransport(engine.Now())
 		})
 		if cfg.WatchdogPeriod > 0 {

@@ -60,7 +60,6 @@ var ErrCorrupt = errors.New("hypercall: batch checksum mismatch")
 type Channel struct {
 	callCost time.Duration
 	copyCost time.Duration
-	mapCost  time.Duration
 	faults   *fault.Injector
 
 	calls       atomic.Int64
@@ -78,16 +77,7 @@ func NewChannel() *Channel {
 // NewChannelWithCosts returns a channel with explicit costs, for
 // sensitivity experiments.
 func NewChannelWithCosts(call, pageCopy time.Duration) *Channel {
-	return &Channel{callCost: call, copyCost: pageCopy, mapCost: DefaultPageMapCost}
-}
-
-// WithMapCost overrides the zero-copy page-map cost and returns the
-// channel.
-func (c *Channel) WithMapCost(d time.Duration) *Channel {
-	if d > 0 {
-		c.mapCost = d
-	}
-	return c
+	return &Channel{callCost: call, copyCost: pageCopy}
 }
 
 // Cost returns the transport latency for one call moving pages of data,
@@ -111,7 +101,7 @@ func (c *Channel) CopyPages(n int) time.Duration {
 // Safe for concurrent use.
 func (c *Channel) MapPages(n int) time.Duration {
 	c.pagesMapped.Add(int64(n))
-	return time.Duration(n) * c.mapCost
+	return time.Duration(n) * DefaultPageMapCost
 }
 
 // WithFaults attaches a fault injector to the channel and returns it;

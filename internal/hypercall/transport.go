@@ -49,9 +49,6 @@ type Options struct {
 	// selects the defaults.
 	CallCost     time.Duration
 	PageCopyCost time.Duration
-	// PageMapCost overrides the zero-copy page-map cost; zero selects
-	// DefaultPageMapCost.
-	PageMapCost time.Duration
 	// Unbatched disables coalescing: every op pays its own world switch,
 	// the pre-batching behaviour. The baseline for the transport
 	// experiment.
@@ -66,16 +63,13 @@ type Options struct {
 	// ZeroCopy hands bulk response pages back as shared-page references
 	// (MapPages) instead of copies: tagged gets reserve no page budget in
 	// the batch and readahead fills map their blocks into the staging
-	// buffer at PageMapCost per page.
+	// buffer at DefaultPageMapCost per page.
 	ZeroCopy bool
 	// StagingPages bounds the staging buffer (default 256 pages).
 	StagingPages int
 	// Metrics receives per-op-code latency histograms and batch
 	// telemetry; nil disables recording.
 	Metrics *metrics.Registry
-	// MetricsPrefix namespaces the recorded metrics (default
-	// "hypercall").
-	MetricsPrefix string
 	// Faults injects transport faults (drop, corrupt, latency) at sites
 	// SiteBatch and SiteCall; nil disables injection.
 	Faults *fault.Injector
@@ -157,8 +151,9 @@ type TransportStats struct {
 	// FlushAbandoned is the number of flushes dropped after MaxRequeues
 	// abandoned crossings.
 	FlushAbandoned int64
-	// SyncFailures is the number of synchronous ops whose crossing was
-	// abandoned (reported Ok=false to the guest).
+	// SyncFailures is the number of synchronous ops and gets whose
+	// crossing was abandoned (reported Ok=false to the guest); a get
+	// abandoned past its deadline is a DeadlineMiss instead.
 	SyncFailures int64
 	// DeadlineMisses is the number of data-path ops that resolved as
 	// misses because their latency budget expired (WatchdogFails of them
@@ -183,52 +178,25 @@ type TransportStats struct {
 }
 
 // transportMetrics holds the metric handles the transport touches on hot
-// paths, resolved once at construction. A registry lookup concatenates a
-// name and takes the registry lock; doing that per retry or per drained
-// op inside t.mu serializes unrelated VMs on the registry. Nil when no
-// registry is configured.
+// paths — the batch-occupancy series and the per-op-code latency
+// histograms; every counter lives in TransportStats — resolved once at
+// construction. A registry lookup concatenates a name and takes the
+// registry lock; doing that per drained op inside t.mu serializes
+// unrelated VMs on the registry. Nil when no registry is configured.
 type transportMetrics struct {
-	batches        *metrics.Counter
-	batchedOps     *metrics.Counter
-	batchPages     *metrics.Counter
-	batchOps       *metrics.Series
-	droppedBatches *metrics.Counter
-	retries        *metrics.Counter
-	syncFailures   *metrics.Counter
-	flushAbandoned *metrics.Counter
-	asyncGets      *metrics.Counter
-	stagedHits     *metrics.Counter
-	stagedFills    *metrics.Counter
-	deadlineMisses *metrics.Counter
-	shedGets       *metrics.Counter
-	shedOps        *metrics.Counter
-	lat            []*metrics.Histogram // indexed by OpCode
+	batchOps *metrics.Series
+	lat      []*metrics.Histogram // indexed by OpCode
 }
 
-func newTransportMetrics(reg *metrics.Registry, prefix string) *transportMetrics {
+func newTransportMetrics(reg *metrics.Registry) *transportMetrics {
 	if reg == nil {
 		return nil
 	}
-	m := &transportMetrics{
-		batches:        reg.Counter(prefix + ".batches"),
-		batchedOps:     reg.Counter(prefix + ".batched_ops"),
-		batchPages:     reg.Counter(prefix + ".batch_pages"),
-		batchOps:       reg.Series(prefix + ".batch_ops"),
-		droppedBatches: reg.Counter(prefix + ".dropped_batches"),
-		retries:        reg.Counter(prefix + ".retries"),
-		syncFailures:   reg.Counter(prefix + ".sync_failures"),
-		flushAbandoned: reg.Counter(prefix + ".flush_abandoned"),
-		asyncGets:      reg.Counter(prefix + ".async_gets"),
-		stagedHits:     reg.Counter(prefix + ".staged_hits"),
-		stagedFills:    reg.Counter(prefix + ".staged_fills"),
-		deadlineMisses: reg.Counter(prefix + ".deadline_misses"),
-		shedGets:       reg.Counter(prefix + ".shed_gets"),
-		shedOps:        reg.Counter(prefix + ".shed_ops"),
-	}
+	m := &transportMetrics{batchOps: reg.Series("hypercall.batch_ops")}
 	ops := cleancache.OpCodes()
 	m.lat = make([]*metrics.Histogram, int(ops[len(ops)-1])+1)
 	for _, op := range ops {
-		m.lat[int(op)] = reg.Histogram(prefix + ".lat." + op.String())
+		m.lat[int(op)] = reg.Histogram("hypercall.lat." + op.String())
 	}
 	return m
 }
@@ -319,25 +287,10 @@ type Transport struct {
 	// positions align, and ops beyond len(requeueGens) are fresh.
 	requeueGens []int // ddlint:guarded-by mu
 
-	batches         int64         // ddlint:guarded-by mu
-	batchedOps      int64         // ddlint:guarded-by mu
-	syncOps         int64         // ddlint:guarded-by mu
-	asyncGetOps     int64         // ddlint:guarded-by mu
-	stagedHits      int64         // ddlint:guarded-by mu
-	stagedFills     int64         // ddlint:guarded-by mu
-	stagedEvictions int64         // ddlint:guarded-by mu
-	retries         int64         // ddlint:guarded-by mu
-	backoff         time.Duration // ddlint:guarded-by mu
-	droppedBatches  int64         // ddlint:guarded-by mu
-	requeuedOps     int64         // ddlint:guarded-by mu
-	flushAbandoned  int64         // ddlint:guarded-by mu
-	syncFailures    int64         // ddlint:guarded-by mu
-	deadlineMisses  int64         // ddlint:guarded-by mu
-	watchdogFails   int64         // ddlint:guarded-by mu
-	shedGets        int64         // ddlint:guarded-by mu
-	shedOps         int64         // ddlint:guarded-by mu
-	completionDrops int64         // ddlint:guarded-by mu
-	maxGetLat       time.Duration // ddlint:guarded-by mu
+	// stats holds the counters the transport itself increments; Stats()
+	// completes a copy with the derived values (channel counters, table
+	// and ring depths).
+	stats TransportStats // ddlint:guarded-by mu
 }
 
 var (
@@ -363,9 +316,6 @@ func NewTransport(be cleancache.Backend, opts Options) *Transport {
 	if opts.StagingPages <= 0 {
 		opts.StagingPages = DefaultStagingPages
 	}
-	if opts.MetricsPrefix == "" {
-		opts.MetricsPrefix = "hypercall"
-	}
 	if opts.RetryBase <= 0 {
 		opts.RetryBase = DefaultRetryBase
 	}
@@ -380,8 +330,8 @@ func NewTransport(be cleancache.Backend, opts Options) *Transport {
 	}
 	return &Transport{
 		be:          be,
-		m:           newTransportMetrics(opts.Metrics, opts.MetricsPrefix),
-		ch:          NewChannelWithCosts(opts.CallCost, opts.PageCopyCost).WithMapCost(opts.PageMapCost).WithFaults(opts.Faults),
+		m:           newTransportMetrics(opts.Metrics),
+		ch:          NewChannelWithCosts(opts.CallCost, opts.PageCopyCost).WithFaults(opts.Faults),
 		ring:        NewRing(opts.MaxBatchOps, opts.MaxBatchPages),
 		unbatched:   opts.Unbatched,
 		asyncGets:   opts.AsyncGets && !opts.Unbatched,
@@ -409,45 +359,27 @@ func (t *Transport) Channel() *Channel { return t.ch }
 func (t *Transport) Stats() TransportStats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return TransportStats{
-		Calls:           t.ch.Calls(),
-		PagesCopied:     t.ch.PagesCopied(),
-		PagesMapped:     t.ch.PagesMapped(),
-		Batches:         t.batches,
-		BatchedOps:      t.batchedOps,
-		SyncOps:         t.syncOps,
-		AsyncGets:       t.asyncGetOps,
-		StagedHits:      t.stagedHits,
-		StagedFills:     t.stagedFills,
-		StagedEvictions: t.stagedEvictions,
-		StagedPages:     int64(len(t.staged)),
-		Pending:         int64(t.ring.Len()),
-		Retries:         t.retries,
-		Backoff:         t.backoff,
-		Drops:           t.ch.Drops(),
-		Corrupts:        t.ch.Corrupts(),
-		DroppedBatches:  t.droppedBatches,
-		RequeuedOps:     t.requeuedOps,
-		FlushAbandoned:  t.flushAbandoned,
-		SyncFailures:    t.syncFailures,
-		DeadlineMisses:  t.deadlineMisses,
-		WatchdogFails:   t.watchdogFails,
-		ShedGets:        t.shedGets,
-		ShedOps:         t.shedOps,
-		CompletionDrops: t.completionDrops,
-		Waiters:         int64(len(t.waiters)),
-		MaxGetLatency:   t.maxGetLat,
-	}
+	st := t.stats
+	st.Calls = t.ch.Calls()
+	st.PagesCopied = t.ch.PagesCopied()
+	st.PagesMapped = t.ch.PagesMapped()
+	st.Drops = t.ch.Drops()
+	st.Corrupts = t.ch.Corrupts()
+	st.StagedPages = int64(len(t.staged))
+	st.Pending = int64(t.ring.Len())
+	st.Waiters = int64(len(t.waiters))
+	return st
 }
 
 // Submit implements cleancache.Transport. Batchable ops are buffered and
 // acknowledged optimistically (Ok=true — the guest drops the page either
 // way, matching the paper's fire-and-forget put semantics); the reported
-// latency is whatever drain this submission triggered. Synchronous ops
-// drain the ring, pay their own crossing, dispatch, and return the
-// backend's answer with transport cost folded into Latency. Gets check
-// the staging buffer first and, when AsyncGets is on, ride the batch as
-// tagged frames instead of paying a private crossing.
+// latency is whatever drain this submission triggered. A get always
+// resolves through a handle (resolveLocked): with AsyncGets it rides the
+// batch as a tagged frame, without it pays a private crossing
+// (syncGetLocked). Control ops drain the ring, pay their own crossing,
+// dispatch, and return the backend's answer with transport cost folded
+// into Latency.
 func (t *Transport) Submit(now time.Duration, req cleancache.Request) cleancache.Response {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -463,10 +395,7 @@ func (t *Transport) Submit(now time.Duration, req cleancache.Request) cleancache
 			// hypervisor holding an object the guest dirtied.
 			switch req.Op {
 			case cleancache.OpPut, cleancache.OpReadAhead:
-				t.shedOps++
-				if t.m != nil {
-					t.m.shedOps.Inc()
-				}
+				t.stats.ShedOps++
 				return cleancache.Response{Op: req.Op, Ok: false}
 			default: // ddlint:nonexhaustive — only flushes remain batchable
 			}
@@ -476,96 +405,56 @@ func (t *Transport) Submit(now time.Duration, req cleancache.Request) cleancache
 			lat = t.drainLocked(now)
 		}
 		t.ring.Push(req)
-		t.batchedOps++
+		t.stats.BatchedOps++
 		if t.ring.Full() {
 			lat += t.drainLocked(now + lat)
 		}
 		return cleancache.Response{Op: req.Op, Ok: true, Latency: lat}
 	}
 
-	if req.Op == cleancache.OpGet && t.asyncGets {
-		pg, lat := t.enqueueGetLocked(now, req)
-		if !pg.Done() {
-			lat += t.drainLocked(now + lat)
+	if req.Op == cleancache.OpGet {
+		var (
+			pg  *PendingGet
+			lat time.Duration
+		)
+		if t.asyncGets {
+			pg, lat = t.enqueueGetLocked(now, req)
+			if !pg.Done() {
+				lat += t.drainLocked(now + lat)
+			}
+		} else {
+			pg, lat = t.syncGetLocked(now, req)
 		}
 		return t.resolveLocked(now, lat, pg)
 	}
 
-	if req.Op == cleancache.OpGet {
-		// A staged block is guest-visible memory: consuming it needs no
-		// crossing and no drain. Nothing buffered can stale it — the ops
-		// that could (put, flush) invalidated it at their own Submit.
-		if wait, hit := t.consumeStagedLocked(now, req.Key); hit {
-			t.observe(req.Op, wait)
-			return cleancache.Response{Op: req.Op, Ok: true, Latency: wait}
-		}
-	}
-
-	// Synchronous path: barrier-drain buffered ops first so the backend
-	// sees FIFO order, then pay this op's own crossing. The dispatch
-	// timestamp `at` is threaded explicitly — every drain, delivery and
-	// backoff advances it — so the backend is invoked at exactly the
-	// virtual time the request arrives and the guest-visible latency is
-	// always at-now plus the backend's own latency. The wire encoding
-	// exists only for the fault model to checksum or corrupt, so the
-	// healthy path skips it.
-	at := now
-	at += t.drainLocked(at)
+	// Control ops (and every op of an Unbatched transport): barrier-drain
+	// buffered ops first so the backend sees FIFO order, then pay this
+	// op's own crossing. The dispatch timestamp `at` is threaded explicitly
+	// — every drain, delivery and backoff advances it — so the backend is
+	// invoked at exactly the virtual time the request arrives and the
+	// guest-visible latency is always at-now plus the backend's own.
+	at := now + t.drainLocked(now)
 	// The drain may have dispatched a buffered readahead whose fills this
 	// op invalidates (migrate, destroy): the submit-time invalidation
 	// above ran before those blocks were staged, so repeat it now that
 	// this op is about to apply behind them in FIFO order.
 	t.invalidateStagedLocked(req)
-	if req.Op == cleancache.OpGet {
-		// The drain may have dispatched a buffered readahead that staged
-		// this very block: re-check before paying a crossing.
-		if wait, hit := t.consumeStagedLocked(at, req.Key); hit {
-			lat := at + wait - now
-			if t.opBudget > 0 && lat > t.opBudget {
-				// The barrier drain alone blew the budget: the guest
-				// stopped waiting, so the staged block is dropped (fail-
-				// to-miss) and the charge is clamped.
-				t.deadlineMisses++
-				if t.m != nil {
-					t.m.deadlineMisses.Inc()
-				}
-				t.observe(req.Op, t.opBudget)
-				return cleancache.Response{Op: req.Op, Ok: false, Latency: t.opBudget}
-			}
-			t.observe(req.Op, lat)
-			return cleancache.Response{Op: req.Op, Ok: true, Latency: lat}
-		}
-	}
-	var payload []byte
-	if t.ch.Faulty() {
-		t.scratch = EncodeRequest(t.scratch[:0], req)
-		payload = t.scratch
-	}
-	// Data-path ops carry a latency budget: the retry loop gives up once
-	// the deadline passes, and an over-budget get resolves as a miss with
-	// its charge clamped. Control ops and flushes are exempt — they carry
-	// correctness and must run to completion whatever the cost.
+	// Control ops and flushes carry correctness, not data: they are exempt
+	// from the latency budget and retry to the attempt bound. A synchronous
+	// READ_AHEAD is data path — its retry loop gives up at the deadline.
 	var deadline time.Duration
-	if t.opBudget > 0 && (req.Op == cleancache.OpGet || req.Op == cleancache.OpReadAhead) {
-		deadline = now + t.opBudget
+	if req.Op == cleancache.OpReadAhead {
+		deadline = t.deadline(now)
 	}
-	clat, ok := t.crossLocked(at, req.Op.Pages(), payload, SiteCall, deadline)
+	clat, ok := t.callLocked(at, req, deadline)
 	at += clat
-	t.syncOps++
 	if !ok {
-		// The call never reached the hypervisor. Reporting Ok=false is
-		// cleancache-safe: a failed get is a miss (the guest re-reads from
-		// its virtual disk), a failed control op surfaces to its caller.
-		t.syncFailures++
-		if t.m != nil {
-			t.m.syncFailures.Inc()
-		}
-		lat := at - now
-		if deadline > 0 && req.Op == cleancache.OpGet && lat > t.opBudget {
-			lat = t.opBudget // the guest stopped waiting at the deadline
-		}
-		t.observe(req.Op, lat)
-		return cleancache.Response{Op: req.Op, Ok: false, Latency: lat}
+		// The call never reached the hypervisor; Ok=false surfaces the
+		// failure to the op's caller.
+		t.stats.SyncFailures++
+		t.observe(req.Op, at-now)
+		return cleancache.Response{Op: req.Op, Ok: false, Latency: at - now}
 	}
 	resp := t.be.Dispatch(at, req)
 	if req.Op == cleancache.OpReadAhead {
@@ -577,20 +466,58 @@ func (t *Transport) Submit(now time.Duration, req cleancache.Request) cleancache
 		t.stageLocked(at, req, resp)
 	}
 	resp.Latency += at - now
-	if req.Op == cleancache.OpGet && deadline > 0 && now+resp.Latency > deadline {
-		// The answer landed past the budget: the guest already fell back
-		// to disk, so the verdict is a miss (the extracted block is
-		// dropped — fail-to-miss, never data loss) and the charge is the
-		// budget, not the stalled crossing.
-		t.deadlineMisses++
-		if t.m != nil {
-			t.m.deadlineMisses.Inc()
-		}
-		resp.Ok = false
-		resp.Latency = t.opBudget
-	}
 	t.observe(req.Op, resp.Latency)
 	return resp
+}
+
+// syncGetLocked is the get path without AsyncGets. A staged block is
+// guest-visible memory: consuming it needs no crossing and no drain
+// (nothing buffered can stale it — the ops that could invalidated it at
+// their own Submit). Otherwise the ring is barrier-drained, the staging
+// buffer re-checked (the drain may have dispatched a readahead that
+// staged this very block) and the get pays its private SiteCall crossing
+// and dispatches. The handle comes back done or failed, never pending,
+// with the budget armed from the submission time — so resolveLocked
+// bounds its verdict and charged wait exactly as it does a tagged
+// frame's: a drain, an abandoned crossing or an answer that lands past
+// the deadline is a miss charged the budget (the extracted block is
+// dropped — fail-to-miss, never data loss). Returns the handle and the
+// latency accumulated so far.
+//
+// ddlint:requires-lock mu
+func (t *Transport) syncGetLocked(now time.Duration, req cleancache.Request) (*PendingGet, time.Duration) {
+	if wait, hit := t.consumeStagedLocked(now, req.Key); hit {
+		return t.armDeadline(now, cleancache.ReadyPendingGet(true, now+wait)), 0
+	}
+	at := now + t.drainLocked(now)
+	if wait, hit := t.consumeStagedLocked(at, req.Key); hit {
+		return t.armDeadline(now, cleancache.ReadyPendingGet(true, at+wait)), at - now
+	}
+	pg := t.armDeadline(now, cleancache.NewPendingGet(0))
+	clat, ok := t.callLocked(at, req, pg.Deadline())
+	at += clat
+	if !ok {
+		pg.Fail(at) // never reached the hypervisor: a miss, the guest re-reads from disk
+		return pg, at - now
+	}
+	resp := t.be.Dispatch(at, req)
+	pg.Complete(resp.Ok, at+resp.Latency)
+	return pg, at - now
+}
+
+// callLocked pays req's own synchronous crossing at virtual time at. The
+// wire encoding exists only for the fault model to checksum or corrupt,
+// so the healthy path skips it.
+//
+// ddlint:requires-lock mu
+func (t *Transport) callLocked(at time.Duration, req cleancache.Request, deadline time.Duration) (time.Duration, bool) {
+	var payload []byte
+	if t.ch.Faulty() {
+		t.scratch = EncodeRequest(t.scratch[:0], req)
+		payload = t.scratch
+	}
+	t.stats.SyncOps++
+	return t.crossLocked(at, req.Op.Pages(), payload, SiteCall, deadline)
 }
 
 // SubmitAsync implements cleancache.AsyncTransport: it issues a get
@@ -638,10 +565,7 @@ func (t *Transport) enqueueGetLocked(now time.Duration, req cleancache.Request) 
 		// Admission control: over the inflight cap the get is shed as an
 		// immediate miss — the guest reads from disk — instead of growing
 		// the waiter table without bound while the transport is stalled.
-		t.shedGets++
-		if t.m != nil {
-			t.m.shedGets.Inc()
-		}
+		t.stats.ShedGets++
 		return cleancache.ReadyPendingGet(false, now), 0
 	}
 	pages := req.Op.Pages()
@@ -661,21 +585,24 @@ func (t *Transport) enqueueGetLocked(now time.Duration, req cleancache.Request) 
 	}
 	tag := t.nextTag
 	t.nextTag++
-	pg := cleancache.NewPendingGet(tag)
-	if t.opBudget > 0 {
-		pg.SetDeadline(now + t.opBudget)
-	}
+	pg := t.armDeadline(now, cleancache.NewPendingGet(tag))
 	t.waiters[tag] = pg
 	t.waiterKeys[tag] = req.Key
 	t.ring.PushTagged(tag, req, pages)
-	t.asyncGetOps++
-	if t.m != nil {
-		t.m.asyncGets.Inc()
-	}
+	t.stats.AsyncGets++
 	if t.ring.Full() {
 		lat += t.drainLocked(now + lat)
 	}
 	return pg, lat
+}
+
+// deadline is the absolute virtual time a data-path op submitted at now
+// must finish by: now plus the configured budget, 0 (none) without one.
+func (t *Transport) deadline(now time.Duration) time.Duration {
+	if t.opBudget <= 0 {
+		return 0
+	}
+	return now + t.opBudget
 }
 
 // armDeadline arms a handle's latency budget relative to its submission
@@ -683,9 +610,7 @@ func (t *Transport) enqueueGetLocked(now time.Duration, req cleancache.Request) 
 // over-budget resolution to a miss even for handles that never entered
 // the waiter table.
 func (t *Transport) armDeadline(now time.Duration, pg *PendingGet) *PendingGet {
-	if t.opBudget > 0 {
-		pg.SetDeadline(now + t.opBudget)
-	}
+	pg.SetDeadline(t.deadline(now))
 	return pg
 }
 
@@ -693,8 +618,9 @@ func (t *Transport) armDeadline(now time.Duration, pg *PendingGet) *PendingGet {
 // response via PendingGet.Resolve. submitLat is the latency already
 // accumulated by the caller this submission (drains it triggered); the
 // reported latency is the later of that and the completion's ready-at.
-// Failure of the crossing (abandoned batch) is reported as Ok=false — a
-// miss, never data loss — and counted as a sync failure. Idempotent: a
+// Failure of the crossing (abandoned batch or call) is reported as
+// Ok=false — a miss, never data loss — and counted as a sync failure,
+// or as a deadline miss when the budget ran out first. Idempotent: a
 // second resolution returns the recorded response with only the wait
 // remaining from now, and accounting happens only on the first.
 //
@@ -715,16 +641,10 @@ func (t *Transport) resolveLocked(now, submitLat time.Duration, pg *PendingGet) 
 	}
 	if pg.DeadlineExceeded() {
 		if !preExpired {
-			t.deadlineMisses++
-			if t.m != nil {
-				t.m.deadlineMisses.Inc()
-			}
+			t.stats.DeadlineMisses++
 		}
 	} else if pg.Failed() {
-		t.syncFailures++
-		if t.m != nil {
-			t.m.syncFailures.Inc()
-		}
+		t.stats.SyncFailures++
 	}
 	t.observe(cleancache.OpGet, resp.Latency)
 	return resp
@@ -743,10 +663,7 @@ func (t *Transport) resolveLocked(now, submitLat time.Duration, pg *PendingGet) 
 func (t *Transport) consumeStagedLocked(now time.Duration, key cleancache.Key) (time.Duration, bool) {
 	if t.opBudget > 0 {
 		if readyAt, ok := t.staged[key]; ok && readyAt-now > t.opBudget {
-			t.deadlineMisses++
-			if t.m != nil {
-				t.m.deadlineMisses.Inc()
-			}
+			t.stats.DeadlineMisses++
 			return 0, false
 		}
 	}
@@ -789,10 +706,7 @@ func (t *Transport) stageLocked(at time.Duration, req cleancache.Request, resp c
 		}
 		t.staged[key] = ready
 		t.stagedOrder = append(t.stagedOrder, key)
-		t.stagedFills++
-		if t.m != nil {
-			t.m.stagedFills.Inc()
-		}
+		t.stats.StagedFills++
 	}
 }
 
@@ -806,7 +720,7 @@ func (t *Transport) evictStagedLocked() {
 		t.stagedOrder = t.stagedOrder[1:]
 		if _, live := t.staged[key]; live {
 			delete(t.staged, key)
-			t.stagedEvictions++
+			t.stats.StagedEvictions++
 			return
 		}
 	}
@@ -870,11 +784,8 @@ func (t *Transport) crossLocked(now time.Duration, pages int, payload []byte, si
 		if deadline > 0 && at >= deadline {
 			return at - now, false
 		}
-		t.retries++
-		t.backoff += backoff
-		if t.m != nil {
-			t.m.retries.Inc()
-		}
+		t.stats.Retries++
+		t.stats.Backoff += backoff
 		at += backoff
 		backoff *= 2
 		if backoff > t.retryCap {
@@ -925,10 +836,7 @@ func (t *Transport) requeueLocked(at time.Duration) {
 			gen = gens[idx] + 1
 		}
 		if gen > t.maxRequeues {
-			t.flushAbandoned++
-			if t.m != nil {
-				t.m.flushAbandoned.Inc()
-			}
+			t.stats.FlushAbandoned++
 			return
 		}
 		keep = append(keep, f.Req)
@@ -940,7 +848,7 @@ func (t *Transport) requeueLocked(at time.Duration) {
 		}
 		t.ring.Push(req)
 		t.requeueGens = append(t.requeueGens, keepGens[i])
-		t.requeuedOps++
+		t.stats.RequeuedOps++
 	}
 }
 
@@ -994,11 +902,8 @@ func (t *Transport) Watchdog(now time.Duration) int {
 		}
 		t.cancelled[tag] = struct{}{}
 		pg.FailDeadline(dl)
-		t.watchdogFails++
-		t.deadlineMisses++
-		if t.m != nil {
-			t.m.deadlineMisses.Inc()
-		}
+		t.stats.WatchdogFails++
+		t.stats.DeadlineMisses++
 		n++
 	}
 	return n
@@ -1021,13 +926,9 @@ func (t *Transport) Close(now time.Duration) time.Duration {
 		delete(t.waiterKeys, tag)
 		pg.Fail(now + lat)
 	}
-	for tag := range t.cancelled {
-		delete(t.cancelled, tag)
-	}
-	t.stagedEvictions += int64(len(t.staged))
-	for key := range t.staged {
-		delete(t.staged, key)
-	}
+	clear(t.cancelled)
+	t.stats.StagedEvictions += int64(len(t.staged))
+	clear(t.staged)
 	t.stagedOrder = t.stagedOrder[:0]
 	return lat
 }
@@ -1053,28 +954,18 @@ func (t *Transport) drainLocked(now time.Duration) time.Duration {
 	// A configured budget caps the batch crossing's retry loop too: a
 	// drain is charged to whichever caller triggered it, and no caller
 	// should burn more than one budget's worth of retries on it.
-	var dl time.Duration
-	if t.opBudget > 0 {
-		dl = now + t.opBudget
-	}
-	lat, ok := t.crossLocked(now, pages, t.ring.Bytes(), SiteBatch, dl)
+	lat, ok := t.crossLocked(now, pages, t.ring.Bytes(), SiteBatch, t.deadline(now))
 	if !ok {
 		// Attempt budget exhausted: abandon the batch, salvaging what the
 		// contract requires (see requeueLocked).
-		t.droppedBatches++
-		if t.m != nil {
-			t.m.droppedBatches.Inc()
-		}
+		t.stats.DroppedBatches++
 		t.requeueLocked(now + lat)
 		return lat
 	}
-	t.batches++
+	t.stats.Batches++
 	t.requeueGens = t.requeueGens[:0] // delivered: salvaged flushes made it
 	perOp := lat / time.Duration(ops) // amortized transport share
 	if t.m != nil {
-		t.m.batches.Inc()
-		t.m.batchedOps.Add(int64(ops))
-		t.m.batchPages.Add(int64(pages))
 		t.m.batchOps.Record(now, float64(ops))
 	}
 	acc := lat
@@ -1117,7 +1008,7 @@ func (t *Transport) drainLocked(now time.Duration) time.Duration {
 		var lost bool
 		cdelay, lost = t.ch.CompletionFault(now + acc)
 		if lost {
-			t.completionDrops++
+			t.stats.CompletionDrops++
 			t.completions = t.completions[:0]
 		}
 	}
@@ -1159,10 +1050,7 @@ func (t *Transport) stagedHitLocked(key cleancache.Key) (time.Duration, bool) {
 		return 0, false
 	}
 	delete(t.staged, key)
-	t.stagedHits++
-	if t.m != nil {
-		t.m.stagedHits.Inc()
-	}
+	t.stats.StagedHits++
 	return readyAt, true
 }
 
@@ -1198,8 +1086,8 @@ func (t *Transport) deliverCompletionsLocked(delay time.Duration) {
 //
 // ddlint:requires-lock mu
 func (t *Transport) observe(op cleancache.OpCode, d time.Duration) {
-	if op == cleancache.OpGet && d > t.maxGetLat {
-		t.maxGetLat = d
+	if op == cleancache.OpGet && d > t.stats.MaxGetLatency {
+		t.stats.MaxGetLatency = d
 	}
 	if t.m == nil {
 		return

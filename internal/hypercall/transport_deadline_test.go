@@ -6,6 +6,7 @@ import (
 
 	"doubledecker/internal/cleancache"
 	"doubledecker/internal/fault"
+	"doubledecker/internal/metrics"
 )
 
 // budget is the per-op latency budget the deadline tests run under: far
@@ -13,29 +14,76 @@ import (
 // the fault plans inject.
 const budget = 100 * time.Microsecond
 
-func TestSyncGetStallClampedToBudget(t *testing.T) {
-	// A latency fault way past the budget on the synchronous call site:
-	// the get must come back a miss charged exactly the budget, never the
-	// stalled crossing.
-	inj := fault.New(fault.Plan{Seed: 1, Rules: []fault.Rule{
-		{Site: SiteCall, Kind: fault.KindLatency, Delay: 5 * time.Millisecond},
-	}})
-	be := newRABackend()
-	tr := NewTransport(be, Options{OpBudget: budget})
-	tr.Channel().WithFaults(inj)
-	pool := newPool(t, tr)
-	tr.Submit(0, put(pool, 1, 0))
-	tr.Flush(0)
+func TestGetBlowsBudget(t *testing.T) {
+	// The three ways a get blows its budget that a transport shares across
+	// AsyncGets settings. Whatever carried the get — a private call or a
+	// tagged frame in the batch — its handle resolves the same way: a
+	// miss charged exactly the budget, one deadline miss, one latency
+	// observation, nothing left in the waiter table.
+	const stall = 5 * time.Millisecond
+	scenarios := []struct {
+		name  string
+		rules []fault.Rule
+		// readahead buffers a READ_AHEAD of the block ahead of the get, so
+		// the get's drain stages it and the get is a staged hit.
+		readahead bool
+	}{
+		{name: "stalled drain ahead of a staged hit", readahead: true, rules: []fault.Rule{
+			{Site: SiteBatch, Kind: fault.KindLatency, Delay: stall},
+		}},
+		{name: "crossing abandoned past the deadline", rules: []fault.Rule{
+			{Site: SiteCall, Kind: fault.KindDrop, Prob: 1},
+			{Site: SiteBatch, Kind: fault.KindDrop, Prob: 1},
+		}},
+		{name: "answer landing late", rules: []fault.Rule{
+			{Site: SiteCall, Kind: fault.KindLatency, Delay: stall},
+			{Site: SiteBatch, Kind: fault.KindLatency, Delay: stall},
+		}},
+	}
+	for _, sc := range scenarios {
+		for _, async := range []bool{false, true} {
+			name := sc.name + "/sync"
+			if async {
+				name = sc.name + "/async"
+			}
+			t.Run(name, func(t *testing.T) {
+				reg := metrics.NewRegistry()
+				tr := NewTransport(newRABackend(), Options{AsyncGets: async, OpBudget: budget, Metrics: reg})
+				pool := newPool(t, tr)
+				tr.Submit(0, put(pool, 1, 0))
+				tr.Flush(0)
+				tr.Channel().WithFaults(fault.New(fault.Plan{Seed: 1, Rules: sc.rules}))
+				if sc.readahead {
+					tr.Submit(time.Millisecond, readAhead(pool, 1, 0, 1))
+				}
+				before := tr.Stats()
 
-	resp := tr.Submit(time.Millisecond, get(pool, 1, 0))
-	if resp.Ok {
-		t.Fatalf("stalled get reported a hit: %+v", resp)
-	}
-	if resp.Latency != budget {
-		t.Fatalf("stalled get charged %v, want the budget %v", resp.Latency, budget)
-	}
-	if st := tr.Stats(); st.DeadlineMisses != 1 {
-		t.Fatalf("DeadlineMisses = %d, want 1", st.DeadlineMisses)
+				resp := tr.Submit(time.Millisecond, get(pool, 1, 0))
+
+				if resp.Ok {
+					t.Fatalf("over-budget get reported a hit: %+v", resp)
+				}
+				if resp.Latency != budget {
+					t.Fatalf("over-budget get charged %v, want the budget %v", resp.Latency, budget)
+				}
+				st := tr.Stats()
+				if got := st.DeadlineMisses - before.DeadlineMisses; got != 1 {
+					t.Fatalf("DeadlineMisses moved by %d, want 1 (stats %+v)", got, st)
+				}
+				if st.SyncFailures != before.SyncFailures {
+					t.Fatalf("deadline miss also counted as a sync failure: %+v", st)
+				}
+				if got := reg.Histogram("hypercall.lat.GET").Count(); got != 1 {
+					t.Fatalf("hypercall.lat.GET has %d observations, want 1", got)
+				}
+				if st.MaxGetLatency != budget {
+					t.Fatalf("MaxGetLatency = %v, want the budget %v", st.MaxGetLatency, budget)
+				}
+				if st.Waiters != 0 {
+					t.Fatalf("waiter table holds %d entries afterwards", st.Waiters)
+				}
+			})
+		}
 	}
 }
 

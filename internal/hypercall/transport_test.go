@@ -250,11 +250,8 @@ func TestTransportMetrics(t *testing.T) {
 		Key: cleancache.Key{Pool: pool, Inode: 1, Block: 0},
 	})
 
-	if got := reg.Counter("hypercall.batches").Value(); got != 1 {
-		t.Fatalf("batches counter = %d, want 1", got)
-	}
-	if got := reg.Counter("hypercall.batched_ops").Value(); got != 5 {
-		t.Fatalf("batched_ops counter = %d, want 5", got)
+	if st := tr.Stats(); st.Batches != 1 || st.BatchedOps != 5 {
+		t.Fatalf("Batches=%d BatchedOps=%d, want 1 and 5", st.Batches, st.BatchedOps)
 	}
 	if got := reg.Series("hypercall.batch_ops").Last().Value; got != 5 {
 		t.Fatalf("batch occupancy sample = %v, want 5", got)

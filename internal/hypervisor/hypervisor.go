@@ -61,19 +61,14 @@ type Config struct {
 	// Metrics, when set, receives the transports' per-op-code latency
 	// histograms and batch telemetry, plus the SSD breaker's events.
 	Metrics *metrics.Registry
-	// GuestFlushInterval overrides the guests' transport flush tick.
-	GuestFlushInterval time.Duration
-	// ReadAheadWindow sets every guest's pipelined-read window (see
-	// guest.Config.ReadAheadWindow). Zero selects the stock default
-	// (guest.DefaultReadAheadWindow) unless NoPipeline is set; a negative
-	// value disables readahead explicitly.
-	ReadAheadWindow int
-	// NoPipeline disables the stock pipelined-read defaults — async
-	// tagged gets, zero-copy bulk responses and the default readahead
-	// window — reverting to the synchronous probe-per-block read path.
-	// Explicitly-set Transport options and ReadAheadWindow still apply,
-	// so the knob isolates exactly what the stock defaults add. The A/B
-	// baseline for the end-to-end readpath experiment.
+	// NoPipeline withholds the stock pipelined-read defaults — async
+	// tagged gets, zero-copy bulk responses and the
+	// guest.DefaultReadAheadWindow window — so the one read path runs at
+	// window 1 over a transport without async gets: one probe
+	// outstanding, each paying its own crossing, which is the
+	// pre-pipeline baseline. Explicitly-set Transport options still
+	// apply, so the knob isolates exactly what the stock defaults add.
+	// The A/B baseline for the end-to-end readpath experiment.
 	NoPipeline bool
 	// Faults attaches a fault-injection plan to the host: the SSD cache
 	// device consults it at sites "host-ssd.read"/"host-ssd.write" and
@@ -107,7 +102,6 @@ type Host struct {
 	diskFor    func(id cleancache.VMID) blockdev.Device
 	vms        []*guest.VM
 	topts      hypercall.Options
-	tick       time.Duration
 	rawin      int
 	wdog       time.Duration
 	transports map[cleancache.VMID]*hypercall.Transport
@@ -125,17 +119,12 @@ func New(engine *sim.Engine, cfg Config) *Host {
 	// Stock hosts run the pipelined read path end to end: async tagged
 	// gets and zero-copy bulk responses on every VM's transport, plus the
 	// default readahead/async-probe window in every guest. NoPipeline (or
-	// the explicitly-unbatched baseline) opts out wholesale; a negative
-	// ReadAheadWindow opts out of readahead alone.
+	// the explicitly-unbatched baseline) opts out wholesale.
+	rawin := 0
 	if !cfg.NoPipeline && !topts.Unbatched && !cfg.DisableCaching {
 		topts.AsyncGets = true
 		topts.ZeroCopy = true
-		if cfg.ReadAheadWindow == 0 {
-			cfg.ReadAheadWindow = guest.DefaultReadAheadWindow
-		}
-	}
-	if cfg.ReadAheadWindow < 0 {
-		cfg.ReadAheadWindow = 0
+		rawin = guest.DefaultReadAheadWindow
 	}
 	// A budget without a watchdog period gets one — a waiter is then
 	// failed at most one budget past its deadline.
@@ -149,8 +138,7 @@ func New(engine *sim.Engine, cfg Config) *Host {
 		caching:    !cfg.DisableCaching,
 		diskFor:    cfg.VMDiskFactory,
 		topts:      topts,
-		tick:       cfg.GuestFlushInterval,
-		rawin:      cfg.ReadAheadWindow,
+		rawin:      rawin,
 		wdog:       cfg.WatchdogPeriod,
 		transports: make(map[cleancache.VMID]*hypercall.Transport),
 	}
@@ -203,7 +191,7 @@ func (h *Host) NewVM(id cleancache.VMID, memBytes int64, weight int64) *guest.VM
 		h.transports[id] = tr
 		front = cleancache.NewFront(id, tr)
 	}
-	gcfg := guest.Config{ID: id, MemBytes: memBytes, HypercallFlushInterval: h.tick, ReadAheadWindow: h.rawin}
+	gcfg := guest.Config{ID: id, MemBytes: memBytes, ReadAheadWindow: h.rawin}
 	if h.topts.OpBudget > 0 {
 		gcfg.WatchdogPeriod = h.wdog
 	}

@@ -277,13 +277,6 @@ func (h *Histogram) Count() int64 {
 	return h.count
 }
 
-// Sum reports the total of all observations.
-func (h *Histogram) Sum() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
 // Mean reports the average observation, or 0 when empty.
 func (h *Histogram) Mean() time.Duration {
 	h.mu.Lock()

@@ -71,9 +71,8 @@ type Cache struct {
 	// the feed for MRC/WSS estimators driving adaptive policies.
 	accessHook func(g *cgroup.Group, inode uint64, block int64)
 
-	// readWindow is the number of in-flight second-chance probes Read
-	// keeps outstanding across a miss-run (Front.GetAsync handles); 0
-	// selects the synchronous probe-per-block path.
+	// readWindow (≥ 1) is the number of in-flight second-chance probes
+	// Read keeps outstanding across a miss-run (Front.GetAsync handles).
 	readWindow int
 
 	// writeSeq makes written blocks' content unique: a dirtied page no
@@ -95,6 +94,8 @@ func New(root *cgroup.Root, front *cleancache.Front, disk blockdev.Device) *Cach
 		lrus:  make(map[*cgroup.Group]*list.List),
 		dirty: make(map[*cgroup.Group]*list.List),
 		stats: make(map[*cgroup.Group]*IOStats),
+
+		readWindow: 1,
 	}
 	root.SetReclaimer(c)
 	return c
@@ -106,21 +107,20 @@ func (c *Cache) SetAccessHook(fn func(g *cgroup.Group, inode uint64, block int64
 	c.accessHook = fn
 }
 
-// SetReadWindow sets how many async second-chance probes Read keeps in
-// flight across a detected miss-run (0 = synchronous probe per block).
-// With a window, a miss-run issues up to window GetAsync handles up
-// front — overlapping the hypercall crossings with the run scan and
-// consuming the transport's readahead staging buffer — and resolves them
-// in access order. No-op without a cleancache front.
+// SetReadWindow sets how many second-chance probes Read keeps in flight
+// across a miss-run; values below 1 select 1, one probe outstanding at a
+// time. A miss-run issues up to a window of GetAsync handles up front —
+// overlapping the hypercall crossings with the run scan and consuming
+// the transport's readahead staging buffer — and resolves them in access
+// order. Window 1 over a transport without async gets is the
+// pre-pipeline baseline: each probe pays its own crossing and is
+// answered before the next is issued.
 func (c *Cache) SetReadWindow(n int) {
-	if n < 0 {
-		n = 0
+	if n < 1 {
+		n = 1
 	}
 	c.readWindow = n
 }
-
-// ReadWindow reports the configured async probe window.
-func (c *Cache) ReadWindow() int { return c.readWindow }
 
 // Stats returns the accumulated counters for g.
 func (c *Cache) Stats(g *cgroup.Group) IOStats {
@@ -234,89 +234,27 @@ func (c *Cache) Read(now time.Duration, g *cgroup.Group, f *fsmodel.File, start,
 			st.Hits++
 			continue
 		}
-		if c.front != nil && c.readWindow > 0 {
-			// Pipelined path: the whole miss-run is probed through
-			// in-flight async handles (readPipelined counts the misses).
-			next, ml := c.readPipelined(at, g, f, b, end)
-			lat += ml
-			b = next - 1
-			continue
-		}
-		st.Misses++
-		if c.front != nil {
-			hit, l := c.front.Get(at, g, uint64(f.Inode), b)
-			lat += l
-			if hit {
-				st.CCHits++
-				_, il := c.insert(at+l, g, uint64(f.Inode), b, f.BlockOffset(b), f.ContentKey(b), false)
-				lat += il + PageHitCost
-				continue
-			}
-		}
-		// Disk miss: extend the run across consecutive blocks that miss
-		// both caches (readahead — one seek serves the whole run). A
-		// block found in the second-chance cache during the scan is
-		// inserted, accounted, and terminates the run.
-		runEnd := b + 1
-		ccStopped := false
-		for runEnd < end {
-			if c.lookup(uint64(f.Inode), runEnd) != nil {
-				break
-			}
-			if c.front != nil {
-				hit, l := c.front.Get(now+lat, g, uint64(f.Inode), runEnd)
-				lat += l
-				if hit {
-					if c.accessHook != nil {
-						c.accessHook(g, uint64(f.Inode), runEnd)
-					}
-					st.Misses++
-					st.CCHits++
-					_, il := c.insert(now+lat, g, uint64(f.Inode), runEnd, f.BlockOffset(runEnd), f.ContentKey(runEnd), false)
-					lat += il + PageHitCost
-					ccStopped = true
-					break
-				}
-			}
-			runEnd++
-		}
-		runLen := runEnd - b
-		// Guest virtual-disk errors are outside the cleancache failure
-		// model (the guest would retry or surface EIO to the app); the
-		// simulation charges the latency and carries on.
-		dl, _ := c.disk.Read(now+lat, f.BlockOffset(b), runLen*fsmodel.BlockSize) // ddlint:err-ok guest disk errors are outside the cleancache failure model
-		lat += dl
-		st.DiskReads += runLen
-		st.Misses += runLen - 1
-		for rb := b; rb < runEnd; rb++ {
-			if c.accessHook != nil && rb > b {
-				c.accessHook(g, uint64(f.Inode), rb)
-			}
-			_, il := c.insert(now+lat, g, uint64(f.Inode), rb, f.BlockOffset(rb), f.ContentKey(rb), false)
-			lat += il + PageHitCost
-		}
-		b = runEnd - 1
-		if ccStopped {
-			b = runEnd // the runEnd block was served by the second-chance hit
-		}
+		next, ml := c.readMissRun(at, g, f, b, end)
+		lat += ml
+		b = next - 1
 	}
 	return lat
 }
 
-// readPipelined serves the miss-run starting at block b through the
-// async read contract: it issues up to readWindow Front.GetAsync probes
-// at a time — the submissions overlap their hypercall crossings and feed
-// the sequential-stream detector before any handle is awaited, so the
-// transport's readahead staging runs ahead of consumption — then
-// resolves the handles in access order. Second-chance hits are inserted
-// as they resolve; contiguous miss verdicts coalesce into single disk
-// run reads, spanning window boundaries (the run is flushed only at a
-// second-chance hit, a resident page, or the end of the request), which
-// preserves the synchronous path's readahead-style seek amortization.
-// The probed set is identical to the synchronous path: every
-// non-resident block until the first resident page or the request end.
+// readMissRun serves the miss-run starting at block b — every
+// non-resident block until the first resident page or the request end —
+// through the async read contract: it issues up to readWindow
+// Front.GetAsync probes at a time — the submissions overlap their
+// hypercall crossings and feed the sequential-stream detector before any
+// handle is awaited, so the transport's readahead staging runs ahead of
+// consumption — then resolves the handles in access order. Second-chance
+// hits are inserted as they resolve; contiguous miss verdicts coalesce
+// into single disk run reads, spanning window boundaries (the run is
+// flushed only at a second-chance hit, a resident page, or the end of
+// the request), so one seek serves the whole run whatever the window.
+// Without a front every probe is a miss and the run is one disk read.
 // Returns the first block not consumed and the latency charged.
-func (c *Cache) readPipelined(base time.Duration, g *cgroup.Group, f *fsmodel.File, b, end int64) (int64, time.Duration) {
+func (c *Cache) readMissRun(base time.Duration, g *cgroup.Group, f *fsmodel.File, b, end int64) (int64, time.Duration) {
 	st := c.statsFor(g)
 	inode := uint64(f.Inode)
 	var (
@@ -328,6 +266,9 @@ func (c *Cache) readPipelined(base time.Duration, g *cgroup.Group, f *fsmodel.Fi
 		if runLen == 0 {
 			return
 		}
+		// Guest virtual-disk errors are outside the cleancache failure
+		// model (the guest would retry or surface EIO to the app); the
+		// simulation charges the latency and carries on.
 		dl, _ := c.disk.Read(base+lat, f.BlockOffset(runStart), runLen*fsmodel.BlockSize) // ddlint:err-ok guest disk errors are outside the cleancache failure model
 		lat += dl
 		st.DiskReads += runLen
@@ -348,17 +289,25 @@ func (c *Cache) readPipelined(base time.Duration, g *cgroup.Group, f *fsmodel.Fi
 			if c.accessHook != nil && pb > b {
 				c.accessHook(g, inode, pb)
 			}
-			pr, sl := c.front.GetAsync(base+lat, g, inode, pb)
-			lat += sl
+			var pr *cleancache.PendingRead // stays nil without a front
+			if c.front != nil {
+				var sl time.Duration
+				pr, sl = c.front.GetAsync(base+lat, g, inode, pb)
+				lat += sl
+			}
 			handles = append(handles, pr)
 		}
 		st.Misses += we - wb
 		for i, pr := range handles {
-			hit, wl := c.front.AwaitRead(base+lat, pr)
-			lat += wl
+			hit := false
+			if pr != nil {
+				var wl time.Duration
+				hit, wl = c.front.AwaitRead(base+lat, pr)
+				lat += wl
+			}
 			pb := wb + int64(i)
 			if !hit {
-				if pr.Expired() {
+				if pr != nil && pr.Expired() {
 					st.DeadlineFallbacks++
 				}
 				if runLen == 0 {

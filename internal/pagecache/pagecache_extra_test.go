@@ -1,10 +1,13 @@
 package pagecache
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
+	"doubledecker/internal/blockdev"
 	"doubledecker/internal/cgroup"
+	"doubledecker/internal/fsmodel"
 )
 
 func TestReadaheadCoalescesDiskRuns(t *testing.T) {
@@ -122,5 +125,86 @@ func TestResidentProbeDoesNotTouch(t *testing.T) {
 	}
 	if after := r.cache.Stats(g); after != before {
 		t.Fatal("Resident probe mutated stats")
+	}
+}
+
+// recDisk records the block ranges read from the virtual disk.
+type recDisk struct {
+	blockdev.Device
+	runs [][2]int64 // [first block, end block) per device read
+}
+
+func (d *recDisk) Read(now time.Duration, offset, size int64) (time.Duration, error) {
+	first := offset / fsmodel.BlockSize
+	d.runs = append(d.runs, [2]int64{first, first + size/fsmodel.BlockSize})
+	return d.Device.Read(now, offset, size)
+}
+
+func TestReadMissRunOneLoop(t *testing.T) {
+	// One miss loop serves every window, with and without a front: blocks
+	// 0..5 are read with block 3 waiting in the second-chance cache. The
+	// disk run is split by the hit, never by a window boundary, and blocks
+	// enter the page cache in access order on every setting.
+	for _, tc := range []struct {
+		name   string
+		window int // 0 = never set
+		front  bool
+	}{
+		{"unset/front", 0, true},
+		{"unset/nofront", 0, false},
+		{"window8/front", 8, true},
+		{"window8/nofront", 8, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			hcache := int64(0)
+			if tc.front {
+				hcache = 32 * mib
+			}
+			r := newRig(64*mib, hcache)
+			disk := &recDisk{Device: r.disk}
+			c := New(r.root, r.front, disk)
+			if tc.window != 0 {
+				c.SetReadWindow(tc.window)
+			}
+			g := r.newGroup("c1", 0)
+			f := r.newFile(6)
+			inode := uint64(f.Inode)
+			// The allocator decides where the file starts on the device.
+			base := f.BlockOffset(0) / fsmodel.BlockSize
+			wantRuns := [][2]int64{{base, base + 6}}
+			wantCC := int64(0)
+			if tc.front {
+				if ok, _ := r.front.Put(0, g, inode, 3, f.ContentKey(3)); !ok {
+					t.Fatal("seeding block 3 in the second-chance cache failed")
+				}
+				wantRuns = [][2]int64{{base, base + 3}, {base + 4, base + 6}}
+				wantCC = 1
+			}
+			var seen []int64
+			c.SetAccessHook(func(_ *cgroup.Group, _ uint64, block int64) { seen = append(seen, block) })
+
+			c.Read(0, g, f, 0, 6)
+
+			if !reflect.DeepEqual(disk.runs, wantRuns) {
+				t.Fatalf("disk reads = %v, want %v", disk.runs, wantRuns)
+			}
+			if st := c.Stats(g); st.Misses != 6 || st.CCHits != wantCC || st.DiskReads != 6-wantCC || st.Hits != 0 {
+				t.Fatalf("stats = %+v, want 6 misses, %d second-chance hits", st, wantCC)
+			}
+			if want := []int64{0, 1, 2, 3, 4, 5}; !reflect.DeepEqual(seen, want) {
+				t.Fatalf("access hook order = %v, want %v", seen, want)
+			}
+			// Access-order insertion: reclaim walks the file front to back.
+			for b := int64(0); b < 6; b++ {
+				if freed, _ := c.ReclaimFile(time.Second, g, 1); freed != 1 {
+					t.Fatalf("reclaim freed %d pages, want 1", freed)
+				}
+				for q := int64(0); q < 6; q++ {
+					if got, want := c.Resident(inode, q), q > b; got != want {
+						t.Fatalf("after %d evictions block %d resident=%v, want %v (LRU not in access order)", b+1, q, got, want)
+					}
+				}
+			}
+		})
 	}
 }

@@ -213,9 +213,6 @@ func (w *Webserver) Step(now time.Duration, c *guest.Container, _ int) (time.Dur
 	return lat + w.cfg.Think, bytes
 }
 
-// FileSetBytes reports the profile's data set size.
-func (w *Webserver) FileSetBytes() int64 { return w.fileset.TotalBytes() }
-
 // --- Webproxy ----------------------------------------------------------------
 
 // WebproxyConfig sizes the Filebench webproxy profile: zipf reads over a
