@@ -17,11 +17,11 @@
 package cleancache
 
 import (
-	"container/list"
 	"fmt"
 	"time"
 
 	"doubledecker/internal/cgroup"
+	"doubledecker/internal/ilist"
 )
 
 // VMID identifies a virtual machine at the hypervisor.
@@ -199,13 +199,15 @@ type Transport interface {
 // an AsyncTransport: created at submission, completed when the crossing
 // carrying the request drains (or is abandoned), redeemed with Await.
 //
-// The handle's fields are owned by the issuing transport: a
-// concurrency-safe transport must confine every method call to its own
-// internal lock, and guests interact with a handle only by passing it
-// back to the transport that created it. The lifecycle is linear —
-// pending → done (Complete/Fail) → resolved (first Resolve) — and every
-// transition is idempotent-safe: resolving twice returns the recorded
-// response with only the wait remaining.
+// The handle's fields — and its storage — are owned by the issuing
+// transport: a concurrency-safe transport must confine every method call
+// to its own internal lock, and guests interact with a handle only by
+// passing it back to the transport that created it. The lifecycle is
+// linear — pending → done (Complete/Fail) → resolved (first Resolve) —
+// and every transition is idempotent-safe: resolving twice returns the
+// recorded response with only the wait remaining. A transport may Reset
+// a resolved handle for a later get, so what a guest wants to know of a
+// handle it reads before its next submission.
 //
 // ddlint:linear
 type PendingGet struct {
@@ -230,13 +232,10 @@ type PendingGet struct {
 // the tagged frame tag.
 func NewPendingGet(tag uint64) *PendingGet { return &PendingGet{tag: tag} }
 
-// ReadyPendingGet returns a handle that is already done (the answer is
-// known — e.g. served from a staging buffer) but not yet resolved: the
-// first Resolve will record the response and charge any remaining wait
-// until readyAt.
-func ReadyPendingGet(ok bool, readyAt time.Duration) *PendingGet {
-	return &PendingGet{done: true, ok: ok, readyAt: readyAt}
-}
+// Reset makes pg a fresh pending handle awaiting the completion of the
+// tagged frame tag, whatever it held before — how a transport reuses the
+// storage of a handle it has seen resolved.
+func (pg *PendingGet) Reset(tag uint64) { *pg = PendingGet{tag: tag} }
 
 // CompletedPendingGet returns a fully resolved handle wrapping resp — the
 // sync-fallback path: a transport that answered synchronously hands back
@@ -365,7 +364,8 @@ type AsyncTransport interface {
 	// back to Submit and return an already-completed handle.
 	SubmitAsync(now time.Duration, req Request) (*PendingGet, time.Duration)
 	// Await blocks (in virtual time) until pg completes, returning the
-	// response with Latency the wait remaining from now.
+	// response with Latency the wait remaining from now. The transport may
+	// reuse pg for a get submitted after this call returns.
 	Await(now time.Duration, pg *PendingGet) Response
 }
 
@@ -480,8 +480,8 @@ type stream struct {
 	key   streamKey
 	next  int64
 	run   int
-	ahead int64         // first block not yet covered by an issued READ_AHEAD
-	elem  *list.Element // position in the detector's recency list
+	ahead int64              // first block not yet covered by an issued READ_AHEAD
+	lru   ilist.Elem[stream] // position in the detector's recency list
 }
 
 // seqRunThreshold is how many consecutive blocks a reader must touch
@@ -515,7 +515,7 @@ type Front struct {
 	// transport below does its own locking).
 	readAhead int
 	streams   map[streamKey]*stream
-	streamLRU *list.List
+	streamLRU ilist.List[stream]
 
 	stats FrontStats
 }
@@ -543,7 +543,6 @@ func (f *Front) SetReadAhead(window int) {
 	f.readAhead = window
 	if window > 0 && f.streams == nil {
 		f.streams = make(map[streamKey]*stream)
-		f.streamLRU = list.New()
 	}
 }
 
@@ -593,28 +592,35 @@ func (f *Front) UpdateSpec(now time.Duration, g *cgroup.Group) time.Duration {
 // page copied) and removes it from the hypervisor cache.
 func (f *Front) Get(now time.Duration, g *cgroup.Group, inode uint64, block int64) (bool, time.Duration) {
 	pr, lat := f.GetAsync(now, g, inode, block)
-	hit, wait := f.AwaitRead(now+lat, pr)
+	hit, wait := f.AwaitRead(now+lat, &pr)
 	return hit, lat + wait
 }
 
 // PendingRead is the guest-visible handle for one in-flight
-// second-chance lookup issued by GetAsync. It is redeemed exactly once
-// with AwaitRead; redeeming again returns the recorded verdict for free.
-// Handles belong to the Front that issued them and share its
-// single-submission-context ownership (they are not safe for concurrent
-// use from multiple goroutines).
+// second-chance lookup issued by GetAsync. It is a value the caller
+// keeps (the page cache holds a window of them in a scratch buffer) and
+// redeems exactly once with AwaitRead; redeeming again returns the
+// recorded verdict for free. Handles belong to the Front that issued them
+// and share its single-submission-context ownership (they are not safe
+// for concurrent use from multiple goroutines).
 //
 // ddlint:linear
 type PendingRead struct {
-	pg   *PendingGet // nil on the fast-miss path (no pool)
-	done bool
-	hit  bool
+	// pg is the transport's handle on an AsyncTransport; AwaitRead gives
+	// it up at redemption, when the transport takes the storage back. Nil
+	// when the answer was known at submission: no pool (done is set), or
+	// a plain Transport, whose verdict waits in hit until readyAt.
+	pg      *PendingGet
+	readyAt time.Duration
+	done    bool
+	hit     bool
+	expired bool
 }
 
 // Expired reports whether a redeemed handle missed because its latency
 // budget ran out rather than because the block was absent — the signal
 // the page cache uses to count deadline-driven disk fallbacks.
-func (pr *PendingRead) Expired() bool { return pr.pg != nil && pr.pg.DeadlineExceeded() }
+func (pr *PendingRead) Expired() bool { return pr.expired }
 
 // GetAsync issues a second-chance lookup without waiting for its answer.
 // On an AsyncTransport the get is submitted as an in-flight frame and
@@ -625,27 +631,27 @@ func (pr *PendingRead) Expired() bool { return pr.pg != nil && pr.pg.DeadlineExc
 // access at submission, so readahead for the blocks beyond the caller's
 // window is already on the wire while the caller is still issuing or
 // awaiting handles.
-func (f *Front) GetAsync(now time.Duration, g *cgroup.Group, inode uint64, block int64) (*PendingRead, time.Duration) {
+func (f *Front) GetAsync(now time.Duration, g *cgroup.Group, inode uint64, block int64) (PendingRead, time.Duration) {
 	if g.PoolID() == 0 {
-		return &PendingRead{done: true}, 0
+		return PendingRead{done: true}, 0
 	}
 	f.stats.Gets++
 	key := Key{Pool: PoolID(g.PoolID()), Inode: inode, Block: block}
 	req := Request{Op: OpGet, VM: f.vm, Key: key}
 	var (
-		pg  *PendingGet
+		pr  PendingRead
 		lat time.Duration
 	)
 	if at, ok := f.tr.(AsyncTransport); ok {
-		pg, lat = at.SubmitAsync(now, req)
+		pr.pg, lat = at.SubmitAsync(now, req)
 	} else {
 		resp := f.tr.Submit(now, req)
-		pg, lat = CompletedPendingGet(resp, now+resp.Latency), resp.Latency
+		pr.hit, pr.readyAt, lat = resp.Ok, now+resp.Latency, resp.Latency
 	}
 	if f.readAhead > 0 {
 		lat += f.noteAccess(now+lat, key)
 	}
-	return &PendingRead{pg: pg}, lat
+	return pr, lat
 }
 
 // AwaitRead redeems a GetAsync handle, returning the lookup verdict and
@@ -656,19 +662,23 @@ func (f *Front) AwaitRead(now time.Duration, pr *PendingRead) (bool, time.Durati
 	if pr.done {
 		return pr.hit, 0
 	}
-	var resp Response
-	if at, ok := f.tr.(AsyncTransport); ok {
-		resp = at.Await(now, pr.pg)
-	} else {
-		resp, _ = pr.pg.Resolve(now, 0) // answered at submission
+	pr.done = true
+	var wait time.Duration
+	if pg := pr.pg; pg != nil {
+		resp := f.tr.(AsyncTransport).Await(now, pg)
+		// Await hands pg's storage back to the transport: keep what the
+		// caller may still ask about and let go of the pointer.
+		pr.hit, pr.expired, pr.pg = resp.Ok, pg.DeadlineExceeded(), nil
+		wait = resp.Latency
+	} else if pr.readyAt > now {
+		wait = pr.readyAt - now // answered at submission
 	}
-	pr.done, pr.hit = true, resp.Ok
-	if resp.Ok {
+	if pr.hit {
 		f.stats.GetHits++
-	} else if pr.pg.DeadlineExceeded() {
+	} else if pr.expired {
 		f.stats.DeadlineMisses++
 	}
-	return resp.Ok, resp.Latency
+	return pr.hit, wait
 }
 
 // noteAccess feeds the sequential-stream detector with one get and, once
@@ -683,17 +693,20 @@ func (f *Front) noteAccess(now time.Duration, key Key) time.Duration {
 		if len(f.streams) >= maxTrackedStreams {
 			// Evict the least-recently-accessed stream: it pays a re-ramp
 			// if it ever resumes, while every active stream keeps its run.
-			if back := f.streamLRU.Back(); back != nil {
-				cold := back.Value.(*stream)
-				f.streamLRU.Remove(back)
-				delete(f.streams, cold.key)
-			}
+			// The new stream takes over its record.
+			s = f.streamLRU.Back()
 		}
-		s = &stream{key: sk}
-		s.elem = f.streamLRU.PushFront(s)
+		if s != nil {
+			f.streamLRU.Remove(&s.lru)
+			delete(f.streams, s.key)
+			*s = stream{key: sk}
+		} else {
+			s = &stream{key: sk}
+		}
+		f.streamLRU.PushFront(&s.lru, s)
 		f.streams[sk] = s
 	} else {
-		f.streamLRU.MoveToFront(s.elem)
+		f.streamLRU.MoveToFront(&s.lru)
 	}
 	if key.Block == s.next {
 		s.run++

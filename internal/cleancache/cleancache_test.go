@@ -231,8 +231,8 @@ func TestGetIsGetAsyncPlusAwaitRead(t *testing.T) {
 	})
 	asyncStats, asyncReqs, asyncHits, asyncLat := run(func(f *Front, g *cgroup.Group, b int64) (bool, time.Duration) {
 		pr, lat := f.GetAsync(0, g, 9, b)
-		hit, wait := f.AwaitRead(lat, pr)
-		if again, cost := f.AwaitRead(lat+wait, pr); again != hit || cost != 0 {
+		hit, wait := f.AwaitRead(lat, &pr)
+		if again, cost := f.AwaitRead(lat+wait, &pr); again != hit || cost != 0 {
 			t.Fatalf("block %d: second redemption = (%v, %v), want (%v, 0)", b, again, cost, hit)
 		}
 		return hit, lat + wait

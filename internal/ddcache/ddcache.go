@@ -475,7 +475,7 @@ func (m *Manager) killPool(p *poolState) {
 	defer v.mu.Unlock()
 	p.dead = true
 	for _, obj := range p.idx.DrainAll() {
-		m.releaseObject(obj)
+		m.releaseObject(p, obj)
 	}
 }
 
@@ -516,7 +516,7 @@ func (m *Manager) SetSpec(_ time.Duration, _ cleancache.VMID, pool cleancache.Po
 				break
 			}
 			p.idx.Remove(obj)
-			m.releaseObject(obj)
+			m.releaseObject(p, obj)
 			p.counters.evictions.Add(1)
 			m.totalEvictions.Add(1)
 		}
@@ -566,15 +566,15 @@ func (m *Manager) Get(now time.Duration, _ cleancache.VMID, key cleancache.Key) 
 			t.breaker.feed(now+lat, err)
 			if err != nil {
 				p.idx.Remove(obj)
-				m.releaseObject(obj)
+				m.releaseObject(p, obj)
 				return false, lat
 			}
 		}
 	}
 	p.counters.getHits.Add(1)
 	if !m.cfg.Inclusive {
-		m.releaseObject(obj)
 		p.idx.Remove(obj)
+		m.releaseObject(p, obj)
 	}
 	return true, lat
 }
@@ -620,15 +620,15 @@ func (m *Manager) ReadAhead(now time.Duration, _ cleancache.VMID, key cleancache
 				t.breaker.feed(now+lat, err)
 				if err != nil {
 					p.idx.Remove(obj)
-					m.releaseObject(obj)
+					m.releaseObject(p, obj)
 					break
 				}
 			}
 		}
 		p.counters.readaheadHits.Add(1)
 		if !m.cfg.Inclusive {
-			m.releaseObject(obj)
 			p.idx.Remove(obj)
+			m.releaseObject(p, obj)
 		}
 		n++
 	}
@@ -756,55 +756,66 @@ func (m *Manager) needsPhysical(st cgroup.StoreType, content uint64, dedup bool)
 //
 // ddlint:requires-lock mu
 func (m *Manager) commitPut(now time.Duration, p *poolState, t *tier, key cleancache.Key, content uint64, dedup bool, lat *time.Duration) bool {
-	obj := &index.Object{Inode: key.Inode, Block: key.Block, Size: ObjectSize, Store: t.kind, Seq: m.nextSeq.Add(1)}
+	seq := m.nextSeq.Add(1) // taken before the write: a failed put still consumes one
+	// Shared copy: only the in-band comparison cost is paid, and no device
+	// write can fail.
+	if !dedup || !m.dedup.acquire(contentKey{t.kind, content}, ObjectSize) {
+		slat, err := t.be.Store(now+*lat, ObjectSize)
+		*lat += slat
+		t.breaker.feed(now+*lat, err)
+		if err != nil {
+			if dedup {
+				// Undo the reference taken above: the copy was never written.
+				m.dedup.undo(contentKey{t.kind, content})
+			}
+			return false
+		}
+	}
+	obj := p.idx.NewObject()
+	obj.Inode, obj.Block, obj.Size, obj.Store, obj.Seq = key.Inode, key.Block, ObjectSize, t.kind, seq
 	if dedup {
 		obj.Content = content
-		if m.dedup.acquire(contentKey{t.kind, content}, ObjectSize) {
-			// Shared copy: only the in-band comparison cost is paid, and
-			// no device write can fail.
-			if replaced := p.idx.Insert(obj); replaced != nil {
-				m.releaseObject(replaced)
-			}
-			return true
-		}
-	}
-	slat, err := t.be.Store(now+*lat, ObjectSize)
-	*lat += slat
-	t.breaker.feed(now+*lat, err)
-	if err != nil {
-		if dedup {
-			// Undo the reference taken above: the copy was never written.
-			m.dedup.undo(contentKey{t.kind, content})
-		}
-		return false
 	}
 	if replaced := p.idx.Insert(obj); replaced != nil {
-		m.releaseObject(replaced)
+		m.releaseObject(p, replaced)
 	}
 	return true
 }
 
-// releaseObject drops an object's physical storage, honouring shared
-// deduplicated copies. A Pending object holds no backend storage — its
-// bytes sit in the write-behind buffer — so releasing it just cancels
-// the queued demotion; the drain skips the settled entry. This is the
-// cancellation point every invalidation path (flush, exclusive get,
-// destroy, replace, eviction) funnels through, which is what makes a
-// demoted-then-staled block unable to resurrect: by the time the drain
-// reaches the entry, Pending is false and nothing is written. Callers
-// hold the owning VM's lock.
-func (m *Manager) releaseObject(obj *index.Object) {
+// releaseObject is where an object dies: the caller has taken obj out of
+// p's index (or Insert displaced it), and releaseObject drops its
+// physical storage — honouring shared deduplicated copies — and hands
+// the struct back to p for reuse. A Pending object holds no backend
+// storage — its bytes sit in the write-behind buffer — so releasing it
+// just cancels the queued demotion; the drain skips the settled entry
+// and, because the ring slot still points at the struct, is also what
+// recycles it (see index.Object.Queued). This is the cancellation point
+// every invalidation path (flush, exclusive get, destroy, replace,
+// eviction) funnels through, which is what makes a demoted-then-staled
+// block unable to resurrect: by the time the drain reaches the entry,
+// Pending is false and nothing is written. obj's fields stay readable
+// until the caller's next put. Callers hold the owning VM's lock.
+//
+// ddlint:requires-lock mu
+func (m *Manager) releaseObject(p *poolState, obj *index.Object) {
 	if obj.Pending {
 		obj.Pending = false
 		m.demote.cancel(obj.Size)
-		return
+	} else {
+		m.releaseStorage(obj)
 	}
+	p.idx.Recycle(obj)
+}
+
+// releaseStorage frees the backend bytes of a non-Pending object, unless
+// other logical references still share its deduplicated copy.
+func (m *Manager) releaseStorage(obj *index.Object) {
 	be := m.tier(obj.Store).be
 	if be == nil {
 		return
 	}
 	if obj.Content != 0 && !m.dedup.release(contentKey{obj.Store, obj.Content}) {
-		return // other logical references still share the physical copy
+		return
 	}
 	be.Release(obj.Size)
 }
@@ -859,7 +870,7 @@ func (m *Manager) FlushPage(_ time.Duration, _ cleancache.VMID, key cleancache.K
 	}
 	if obj := p.idx.Lookup(key.Inode, key.Block); obj != nil {
 		p.idx.Remove(obj)
-		m.releaseObject(obj)
+		m.releaseObject(p, obj)
 	}
 	return m.cfg.OpOverhead
 }
@@ -878,7 +889,7 @@ func (m *Manager) FlushInode(_ time.Duration, _ cleancache.VMID, pool cleancache
 		return 0
 	}
 	for _, obj := range p.idx.RemoveInode(inode) {
-		m.releaseObject(obj)
+		m.releaseObject(p, obj)
 	}
 	return m.cfg.OpOverhead
 }
@@ -933,11 +944,11 @@ func (m *Manager) MigrateInode(now time.Duration, _ cleancache.VMID, from, to cl
 func (m *Manager) migrateLocked(src, dst *poolState, inode uint64) {
 	for _, obj := range src.idx.RemoveInode(inode) {
 		if obj.Pending {
-			m.releaseObject(obj)
+			m.releaseObject(src, obj)
 			continue
 		}
 		if replaced := dst.idx.Insert(obj); replaced != nil {
-			m.releaseObject(replaced)
+			m.releaseObject(dst, replaced)
 		}
 	}
 }
@@ -1042,13 +1053,13 @@ func (m *Manager) evictBatch(st cgroup.StoreType, batch int64) int64 {
 			// bytes and re-home it to the target tier as Pending. The
 			// drain cannot touch the entry yet — it reads Pending under
 			// the VM lock we hold.
-			m.releaseObject(obj)
+			m.releaseStorage(obj)
 			obj.Store = target
 			obj.Pending = true
 			p.idx.Insert(obj)
 			p.counters.demotions.Add(1)
 		} else {
-			m.releaseObject(obj)
+			m.releaseObject(p, obj)
 			p.counters.evictions.Add(1)
 			m.totalEvictions.Add(1)
 		}
@@ -1119,7 +1130,7 @@ func (m *Manager) evictGlobalFIFO(ep *epoch, st cgroup.StoreType, batch int64) i
 			break
 		}
 		p.idx.Remove(obj)
-		m.releaseObject(obj)
+		m.releaseObject(p, obj)
 		freed += obj.Size
 		p.counters.evictions.Add(1)
 		m.totalEvictions.Add(1)

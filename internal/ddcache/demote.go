@@ -134,6 +134,7 @@ func (q *demoteQueue) tryEnqueue(p *poolState, obj *index.Object) bool {
 		return false
 	}
 	q.ring[(q.head+q.n)%len(q.ring)] = demoteEntry{p: p, obj: obj}
+	obj.Queued = true
 	q.n++
 	q.dirtyObjects.Add(1)
 	nb := q.dirtyBytes.Add(obj.Size)
@@ -241,11 +242,16 @@ func (m *Manager) drainDemotions(now time.Duration) time.Duration {
 	}
 }
 
-// drainOne lands one queued demotion. The entry may have been cancelled
-// (Pending already false — accounting settled at cancel time), the
-// target may need eviction room, the target's breaker may be open, or
-// the device write may fail; every terminal outcome settles the
-// dirtiness accounting exactly once.
+// drainOne lands one popped demotion and ends the ring's hold on the
+// object. The entry may have been cancelled (Pending already false —
+// accounting settled at cancel time), the target may need eviction room,
+// the target's breaker may be open, or the device write may fail; every
+// terminal outcome settles the dirtiness accounting exactly once, and
+// only then clears Queued: the landing drops the VM lock to make room,
+// and an object cancelled in that window must not be reused and
+// re-queued behind this entry's back. An object that did not land
+// (cancelled or dropped) is dead, and retired here — the one place a
+// Queued object can be.
 func (m *Manager) drainOne(now time.Duration, e demoteEntry) time.Duration {
 	q := m.demote
 	p := e.p
@@ -254,7 +260,8 @@ func (m *Manager) drainOne(now time.Duration, e demoteEntry) time.Duration {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if !e.obj.Pending {
-		return 0 // cancelled before the drain got here; nothing to write
+		retireQueued(p, e.obj) // cancelled before the drain got here; nothing to write
+		return 0
 	}
 	t := m.tier(e.obj.Store)
 	st, be := t.kind, t.be
@@ -272,7 +279,8 @@ func (m *Manager) drainOne(now time.Duration, e demoteEntry) time.Duration {
 		lat += m.enforceCapacity(now+lat, st, e.obj.Size)
 		v.mu.Lock()
 		if !e.obj.Pending {
-			return lat // cancelled while unlocked
+			retireQueued(p, e.obj) // cancelled while unlocked
+			return lat
 		}
 		if be.UsedBytes()+e.obj.Size > be.CapacityBytes() {
 			m.dropPending(p, e.obj, &q.dropsFull)
@@ -291,15 +299,27 @@ func (m *Manager) drainOne(now time.Duration, e demoteEntry) time.Duration {
 		return lat
 	}
 	e.obj.Pending = false
+	e.obj.Queued = false // landed: resident in its target tier, the ring is done with it
 	q.settle(e.obj.Size, &q.drained)
 	return lat
 }
 
+// retireQueued ends the ring's hold on a dead object whose slot the
+// drain has popped, and hands it back to its pool for reuse. Callers
+// hold the owning VM's lock.
+//
+// ddlint:requires-lock mu
+func retireQueued(p *poolState, obj *index.Object) {
+	obj.Queued = false
+	p.idx.Recycle(obj)
+}
+
 // dropPending turns a queued demotion into a true eviction: the object
 // leaves the index, the dirtiness accounting settles under the given
-// outcome counter, and the pool's eviction counters tick. No backend
-// Release — a Pending object holds no backend storage. Callers hold the
-// owning VM's lock.
+// outcome counter, the pool's eviction counters tick, and the struct is
+// retired. No backend Release — a Pending object holds no backend
+// storage. Only the drain calls this, with the object's slot popped.
+// Callers hold the owning VM's lock.
 //
 // ddlint:requires-lock mu
 func (m *Manager) dropPending(p *poolState, obj *index.Object, outcome *atomic.Int64) {
@@ -308,4 +328,5 @@ func (m *Manager) dropPending(p *poolState, obj *index.Object, outcome *atomic.I
 	m.demote.settle(obj.Size, outcome)
 	p.counters.evictions.Add(1)
 	m.totalEvictions.Add(1)
+	retireQueued(p, obj)
 }

@@ -6,6 +6,7 @@ import (
 
 	"doubledecker/internal/cleancache"
 	"doubledecker/internal/fault"
+	"doubledecker/internal/ilist"
 	"doubledecker/internal/metrics"
 )
 
@@ -206,8 +207,25 @@ func newTransportMetrics(reg *metrics.Registry) *transportMetrics {
 // drains (or is abandoned), redeemed with Await. The type lives in
 // cleancache (it is part of the AsyncTransport capability contract);
 // this alias keeps the historical hypercall name working. All handle
-// state is guarded by the owning transport's mu.
+// state is guarded by the owning transport's mu, and the storage is the
+// transport's: the first Await takes it back for a later get, leaving
+// the answer readable only until the caller's next submission.
 type PendingGet = cleancache.PendingGet
+
+// waiter is one outstanding tagged get: its handle and the block it
+// asked for (so a watchdog-failed get can invalidate staged readahead
+// over the same block).
+type waiter struct {
+	pg  *PendingGet
+	key cleancache.Key
+}
+
+// stagedBlock is one readahead-filled block awaiting consumption.
+type stagedBlock struct {
+	key   cleancache.Key
+	ready time.Duration           // virtual time the fill completes
+	fifo  ilist.Elem[stagedBlock] // position in the eviction FIFO; the free-list link once unstaged
+}
 
 // Transport is the batched, pipelined hypercall path from one VM to the
 // hypervisor cache manager. It implements cleancache.Transport.
@@ -263,24 +281,28 @@ type Transport struct {
 	maxQueued   int
 
 	// Async get demultiplexing: the next frame tag (tag 0 is reserved for
-	// untagged handles), the waiters keyed by tag, the key each waiter
-	// covers (so a watchdog-failed get can invalidate staged readahead
-	// over the same block), and the wire-encoded completions of the drain
-	// in progress. cancelled tombstones the tags of watchdog-failed
-	// waiters whose frames are still in the ring: the next drain releases
-	// each slot without dispatching — dispatching would extract the block
-	// under the exclusive protocol with nobody left to consume it.
-	nextTag     uint64                    // ddlint:guarded-by mu
-	waiters     map[uint64]*PendingGet    // ddlint:guarded-by mu
-	waiterKeys  map[uint64]cleancache.Key // ddlint:guarded-by mu
-	cancelled   map[uint64]struct{}       // ddlint:guarded-by mu
-	completions []byte                    // ddlint:guarded-by mu
+	// untagged handles), the waiters keyed by tag, and the wire-encoded
+	// completions of the drain in progress. cancelled tombstones the tags
+	// of watchdog-failed waiters whose frames are still in the ring: the
+	// next drain releases each slot without dispatching — dispatching
+	// would extract the block under the exclusive protocol with nobody
+	// left to consume it. Tags are never reused, so a tombstone or a late
+	// completion can only ever name the get it was issued for, whatever
+	// became of that get's handle storage. freeGets is that storage,
+	// taken back at each handle's first resolution.
+	nextTag     uint64              // ddlint:guarded-by mu
+	waiters     map[uint64]waiter   // ddlint:guarded-by mu
+	cancelled   map[uint64]struct{} // ddlint:guarded-by mu
+	completions []byte              // ddlint:guarded-by mu
+	freeGets    []*PendingGet       // ddlint:guarded-by mu
 
-	// Staging buffer: readahead-filled blocks and the virtual time their
-	// fill completes. stagedOrder is the FIFO eviction queue (lazily
-	// pruned: consumed or invalidated keys go stale in place).
-	staged      map[cleancache.Key]time.Duration // ddlint:guarded-by mu
-	stagedOrder []cleancache.Key                 // ddlint:guarded-by mu
+	// Staging buffer: readahead-filled blocks by key, and in fill order
+	// on stagedFIFO for eviction. A consumed or invalidated block leaves
+	// both at once and its record waits on stagedFree, so the buffer
+	// holds at most stagingCap records however many blocks pass through.
+	staged     map[cleancache.Key]*stagedBlock // ddlint:guarded-by mu
+	stagedFIFO ilist.List[stagedBlock]         // ddlint:guarded-by mu
+	stagedFree ilist.List[stagedBlock]         // ddlint:guarded-by mu
 
 	// requeueGens[i] is the abandoned-crossing count of the i-th buffered
 	// op: requeued flushes re-enter at the front of the emptied ring, so
@@ -345,10 +367,9 @@ func NewTransport(be cleancache.Backend, opts Options) *Transport {
 		maxInflight: opts.MaxInflightGets,
 		maxQueued:   opts.MaxQueuedOps,
 		nextTag:     1, // tag 0 is the "no tag" sentinel on untagged handles
-		waiters:     make(map[uint64]*PendingGet),
-		waiterKeys:  make(map[uint64]cleancache.Key),
+		waiters:     make(map[uint64]waiter),
 		cancelled:   make(map[uint64]struct{}),
-		staged:      make(map[cleancache.Key]time.Duration),
+		staged:      make(map[cleancache.Key]*stagedBlock),
 	}
 }
 
@@ -487,13 +508,13 @@ func (t *Transport) Submit(now time.Duration, req cleancache.Request) cleancache
 // ddlint:requires-lock mu
 func (t *Transport) syncGetLocked(now time.Duration, req cleancache.Request) (*PendingGet, time.Duration) {
 	if wait, hit := t.consumeStagedLocked(now, req.Key); hit {
-		return t.armDeadline(now, cleancache.ReadyPendingGet(true, now+wait)), 0
+		return t.armDeadline(now, t.readyHandleLocked(true, now+wait)), 0
 	}
 	at := now + t.drainLocked(now)
 	if wait, hit := t.consumeStagedLocked(at, req.Key); hit {
-		return t.armDeadline(now, cleancache.ReadyPendingGet(true, at+wait)), at - now
+		return t.armDeadline(now, t.readyHandleLocked(true, at+wait)), at - now
 	}
-	pg := t.armDeadline(now, cleancache.NewPendingGet(0))
+	pg := t.armDeadline(now, t.handleLocked(0))
 	clat, ok := t.callLocked(at, req, pg.Deadline())
 	at += clat
 	if !ok {
@@ -559,14 +580,14 @@ func (t *Transport) Await(now time.Duration, pg *PendingGet) cleancache.Response
 // ddlint:requires-lock mu
 func (t *Transport) enqueueGetLocked(now time.Duration, req cleancache.Request) (*PendingGet, time.Duration) {
 	if wait, hit := t.consumeStagedLocked(now, req.Key); hit {
-		return t.armDeadline(now, cleancache.ReadyPendingGet(true, now+wait)), 0
+		return t.armDeadline(now, t.readyHandleLocked(true, now+wait)), 0
 	}
 	if t.maxInflight > 0 && len(t.waiters) >= t.maxInflight {
 		// Admission control: over the inflight cap the get is shed as an
 		// immediate miss — the guest reads from disk — instead of growing
 		// the waiter table without bound while the transport is stalled.
 		t.stats.ShedGets++
-		return cleancache.ReadyPendingGet(false, now), 0
+		return t.readyHandleLocked(false, now), 0
 	}
 	pages := req.Op.Pages()
 	if t.zeroCopy {
@@ -580,14 +601,13 @@ func (t *Transport) enqueueGetLocked(now time.Duration, req cleancache.Request) 
 		// armed deadline turns an over-budget resolution into a clamped
 		// miss.
 		if wait, hit := t.consumeStagedLocked(now+lat, req.Key); hit {
-			return t.armDeadline(now, cleancache.ReadyPendingGet(true, now+lat+wait)), lat
+			return t.armDeadline(now, t.readyHandleLocked(true, now+lat+wait)), lat
 		}
 	}
 	tag := t.nextTag
 	t.nextTag++
-	pg := t.armDeadline(now, cleancache.NewPendingGet(tag))
-	t.waiters[tag] = pg
-	t.waiterKeys[tag] = req.Key
+	pg := t.armDeadline(now, t.handleLocked(tag))
+	t.waiters[tag] = waiter{pg: pg, key: req.Key}
 	t.ring.PushTagged(tag, req, pages)
 	t.stats.AsyncGets++
 	if t.ring.Full() {
@@ -603,6 +623,33 @@ func (t *Transport) deadline(now time.Duration) time.Duration {
 		return 0
 	}
 	return now + t.opBudget
+}
+
+// handleLocked returns a pending handle awaiting tag's completion, in
+// storage taken back from an earlier get when there is some.
+//
+// ddlint:requires-lock mu
+func (t *Transport) handleLocked(tag uint64) *PendingGet {
+	n := len(t.freeGets)
+	if n == 0 {
+		return cleancache.NewPendingGet(tag)
+	}
+	pg := t.freeGets[n-1]
+	t.freeGets = t.freeGets[:n-1]
+	pg.Reset(tag)
+	return pg
+}
+
+// readyHandleLocked returns a handle that is already done — the answer
+// is known (served from the staging buffer, or shed) — but not yet
+// resolved: the first resolution records the response and charges any
+// wait remaining until readyAt.
+//
+// ddlint:requires-lock mu
+func (t *Transport) readyHandleLocked(ok bool, readyAt time.Duration) *PendingGet {
+	pg := t.handleLocked(0)
+	pg.Complete(ok, readyAt)
+	return pg
 }
 
 // armDeadline arms a handle's latency budget relative to its submission
@@ -622,7 +669,9 @@ func (t *Transport) armDeadline(now time.Duration, pg *PendingGet) *PendingGet {
 // Ok=false — a miss, never data loss — and counted as a sync failure,
 // or as a deadline miss when the budget ran out first. Idempotent: a
 // second resolution returns the recorded response with only the wait
-// remaining from now, and accounting happens only on the first.
+// remaining from now, and accounting happens only on the first — which
+// is also where the transport takes the handle's storage back: the
+// handle stays readable (and re-resolvable) until the next get reuses it.
 //
 // ddlint:requires-lock mu
 func (t *Transport) resolveLocked(now, submitLat time.Duration, pg *PendingGet) cleancache.Response {
@@ -637,8 +686,8 @@ func (t *Transport) resolveLocked(now, submitLat time.Duration, pg *PendingGet) 
 		// — and must still release its table entries, or the waiter table
 		// leaks an entry per lost completion.
 		delete(t.waiters, tag)
-		delete(t.waiterKeys, tag)
 	}
+	t.freeGets = append(t.freeGets, pg)
 	if pg.DeadlineExceeded() {
 		if !preExpired {
 			t.stats.DeadlineMisses++
@@ -662,7 +711,7 @@ func (t *Transport) resolveLocked(now, submitLat time.Duration, pg *PendingGet) 
 // ddlint:requires-lock mu
 func (t *Transport) consumeStagedLocked(now time.Duration, key cleancache.Key) (time.Duration, bool) {
 	if t.opBudget > 0 {
-		if readyAt, ok := t.staged[key]; ok && readyAt-now > t.opBudget {
+		if sb := t.staged[key]; sb != nil && sb.ready-now > t.opBudget {
 			t.stats.DeadlineMisses++
 			return 0, false
 		}
@@ -681,7 +730,8 @@ func (t *Transport) consumeStagedLocked(now time.Duration, key cleancache.Key) (
 // staged entries whose fill completes after the backend latency plus the
 // page handover — mapped references under ZeroCopy, copies otherwise.
 // The buffer is bounded; the oldest unconsumed entries are evicted,
-// which is always safe (an evicted block is simply re-fetched).
+// which is always safe (an evicted block is simply re-fetched). A block
+// staged again while still staged keeps its place in the order.
 //
 // ddlint:requires-lock mu
 func (t *Transport) stageLocked(at time.Duration, req cleancache.Request, resp cleancache.Response) {
@@ -697,33 +747,33 @@ func (t *Transport) stageLocked(at time.Duration, req cleancache.Request, resp c
 	}
 	for i := int64(0); i < resp.Count; i++ {
 		key := cleancache.Key{Pool: req.Key.Pool, Inode: req.Key.Inode, Block: req.Key.Block + i}
-		if _, dup := t.staged[key]; dup {
-			t.staged[key] = ready
+		if dup := t.staged[key]; dup != nil {
+			dup.ready = ready
 			continue
 		}
 		for len(t.staged) >= t.stagingCap {
-			t.evictStagedLocked()
+			t.unstageLocked(t.stagedFIFO.Front())
+			t.stats.StagedEvictions++
 		}
-		t.staged[key] = ready
-		t.stagedOrder = append(t.stagedOrder, key)
+		sb := t.stagedFree.PopFront()
+		if sb == nil {
+			sb = new(stagedBlock)
+		}
+		sb.key, sb.ready = key, ready
+		t.staged[key] = sb
+		t.stagedFIFO.PushBack(&sb.fifo, sb)
 		t.stats.StagedFills++
 	}
 }
 
-// evictStagedLocked removes the oldest live staged entry, skipping keys
-// already consumed or invalidated (their order slots went stale).
+// unstageLocked takes sb out of the staging buffer — consumed, evicted or
+// invalidated — and keeps its record for the next fill.
 //
 // ddlint:requires-lock mu
-func (t *Transport) evictStagedLocked() {
-	for len(t.stagedOrder) > 0 {
-		key := t.stagedOrder[0]
-		t.stagedOrder = t.stagedOrder[1:]
-		if _, live := t.staged[key]; live {
-			delete(t.staged, key)
-			t.stats.StagedEvictions++
-			return
-		}
-	}
+func (t *Transport) unstageLocked(sb *stagedBlock) {
+	delete(t.staged, sb.key)
+	t.stagedFIFO.Remove(&sb.fifo)
+	t.stagedFree.PushFront(&sb.fifo, sb)
 }
 
 // invalidateStagedLocked drops staged blocks the submitted op could
@@ -738,17 +788,19 @@ func (t *Transport) invalidateStagedLocked(req cleancache.Request) {
 	}
 	switch req.Op {
 	case cleancache.OpPut, cleancache.OpFlushPage:
-		delete(t.staged, req.Key)
+		if sb := t.staged[req.Key]; sb != nil {
+			t.unstageLocked(sb)
+		}
 	case cleancache.OpFlushInode, cleancache.OpMigrateObject:
-		for key := range t.staged {
+		for key, sb := range t.staged {
 			if key.Pool == req.Key.Pool && key.Inode == req.Key.Inode {
-				delete(t.staged, key)
+				t.unstageLocked(sb)
 			}
 		}
 	case cleancache.OpDestroyCgroup:
-		for key := range t.staged {
+		for key, sb := range t.staged {
 			if key.Pool == req.Key.Pool {
-				delete(t.staged, key)
+				t.unstageLocked(sb)
 			}
 		}
 	default: // ddlint:nonexhaustive — gets and the remaining control ops cannot stale staged blocks
@@ -857,13 +909,12 @@ func (t *Transport) requeueLocked(at time.Duration) {
 //
 // ddlint:requires-lock mu
 func (t *Transport) failWaiterLocked(tag uint64, at time.Duration) {
-	pg := t.waiters[tag]
-	if pg == nil {
+	w, ok := t.waiters[tag]
+	if !ok {
 		return
 	}
 	delete(t.waiters, tag)
-	delete(t.waiterKeys, tag)
-	pg.Fail(at)
+	w.pg.Fail(at)
 }
 
 // Flush implements cleancache.Transport: the guest's periodic transport
@@ -890,18 +941,17 @@ func (t *Transport) Watchdog(now time.Duration) int {
 		return 0
 	}
 	n := 0
-	for tag, pg := range t.waiters {
-		dl := pg.Deadline()
+	for tag, w := range t.waiters {
+		dl := w.pg.Deadline()
 		if dl <= 0 || now < dl {
 			continue
 		}
 		delete(t.waiters, tag)
-		if key, ok := t.waiterKeys[tag]; ok {
-			delete(t.waiterKeys, tag)
-			delete(t.staged, key)
+		if sb := t.staged[w.key]; sb != nil {
+			t.unstageLocked(sb)
 		}
 		t.cancelled[tag] = struct{}{}
-		pg.FailDeadline(dl)
+		w.pg.FailDeadline(dl)
 		t.stats.WatchdogFails++
 		t.stats.DeadlineMisses++
 		n++
@@ -921,15 +971,15 @@ func (t *Transport) Close(now time.Duration) time.Duration {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	lat := t.drainLocked(now)
-	for tag, pg := range t.waiters {
+	for tag, w := range t.waiters {
 		delete(t.waiters, tag)
-		delete(t.waiterKeys, tag)
-		pg.Fail(now + lat)
+		w.pg.Fail(now + lat)
 	}
 	clear(t.cancelled)
 	t.stats.StagedEvictions += int64(len(t.staged))
-	clear(t.staged)
-	t.stagedOrder = t.stagedOrder[:0]
+	for sb := t.stagedFIFO.Front(); sb != nil; sb = t.stagedFIFO.Front() {
+		t.unstageLocked(sb)
+	}
 	return lat
 }
 
@@ -1045,13 +1095,13 @@ func (t *Transport) completeGetLocked(at time.Duration, f Frame) {
 //
 // ddlint:requires-lock mu
 func (t *Transport) stagedHitLocked(key cleancache.Key) (time.Duration, bool) {
-	readyAt, ok := t.staged[key]
-	if !ok {
+	sb := t.staged[key]
+	if sb == nil {
 		return 0, false
 	}
-	delete(t.staged, key)
+	t.unstageLocked(sb)
 	t.stats.StagedHits++
-	return readyAt, true
+	return sb.ready, true
 }
 
 // deliverCompletionsLocked decodes the drain's completion frames — the
@@ -1069,13 +1119,12 @@ func (t *Transport) deliverCompletionsLocked(delay time.Duration) {
 			break // cannot happen: frames come from EncodeCompletion
 		}
 		b = b[n:]
-		pg := t.waiters[c.Tag]
-		if pg == nil {
+		w, ok := t.waiters[c.Tag]
+		if !ok {
 			continue
 		}
 		delete(t.waiters, c.Tag)
-		delete(t.waiterKeys, c.Tag)
-		pg.Complete(c.Ok, c.At+delay)
+		w.pg.Complete(c.Ok, c.At+delay)
 	}
 	t.completions = t.completions[:0]
 }

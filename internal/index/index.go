@@ -15,11 +15,11 @@
 package index
 
 import (
-	"container/list"
 	"sync/atomic"
 
 	"doubledecker/internal/cgroup"
 	"doubledecker/internal/cleancache"
+	"doubledecker/internal/ilist"
 	"doubledecker/internal/radix"
 )
 
@@ -41,8 +41,13 @@ type Object struct {
 	// demotion queue's buffer, charged to no backend until the drain
 	// stores (or drops) them.
 	Pending bool
+	// Queued marks an object a write-behind ring slot points at. The slot
+	// outlives a cancelled demotion until the next drain pops it, so
+	// Recycle leaves a Queued object alone; the drain clears the mark when
+	// it pops the slot and recycles the object itself if it died meanwhile.
+	Queued bool
 
-	elem *list.Element
+	fifo ilist.Elem[Object] // position in its store's FIFO; the free-list link once recycled
 }
 
 // storeSlots bounds the per-store accounting array: store types are
@@ -84,7 +89,12 @@ type Pool struct {
 	Name string
 
 	files map[uint64]*radix.Tree
-	fifo  map[cgroup.StoreType]*list.List
+	trees radix.Arena // nodes and emptied per-file trees, reused
+	fifo  [storeSlots]ilist.List[Object]
+	// free holds recycled objects for NewObject; removed holds the result
+	// of the last RemoveInode/DrainAll.
+	free    ilist.List[Object]
+	removed []*Object
 	// acct is atomic only for lock-free reads; writes happen on the
 	// caller-serialized structural paths.
 	acct Accounting
@@ -97,8 +107,30 @@ func NewPool(id cleancache.PoolID, vm cleancache.VMID, name string) *Pool {
 		VM:    vm,
 		Name:  name,
 		files: make(map[uint64]*radix.Tree),
-		fifo:  make(map[cgroup.StoreType]*list.List),
 	}
+}
+
+// NewObject returns a zeroed object for the caller to fill and Insert,
+// reusing a recycled one when there is one.
+func (p *Pool) NewObject() *Object {
+	obj := p.free.PopFront()
+	if obj == nil {
+		return &Object{}
+	}
+	*obj = Object{}
+	return obj
+}
+
+// Recycle hands a dead object — removed from the index (or never
+// inserted) and referenced by nobody but the caller — back for reuse by
+// NewObject. Its fields stay readable until then: the caller-serialized
+// contract means nothing can reuse it before the caller's own next
+// NewObject. A Queued object is left alone (see Object.Queued).
+func (p *Pool) Recycle(obj *Object) {
+	if obj.Queued || obj.fifo.Linked() {
+		return
+	}
+	p.free.PushFront(&obj.fifo, obj)
 }
 
 // Lookup returns the object for (inode, block), or nil.
@@ -118,7 +150,7 @@ func (p *Pool) Insert(obj *Object) *Object {
 	obj.Pool = p.ID
 	tree, ok := p.files[obj.Inode]
 	if !ok {
-		tree = radix.New()
+		tree = p.trees.New()
 		p.files[obj.Inode] = tree
 	}
 	var replaced *Object
@@ -128,12 +160,7 @@ func (p *Pool) Insert(obj *Object) *Object {
 			p.unlink(replaced)
 		}
 	}
-	q, ok := p.fifo[obj.Store]
-	if !ok {
-		q = list.New()
-		p.fifo[obj.Store] = q
-	}
-	obj.elem = q.PushBack(obj)
+	p.fifo[storeSlot(obj.Store)].PushBack(&obj.fifo, obj)
 	p.acct.used[storeSlot(obj.Store)].Add(obj.Size)
 	p.acct.count.Add(1)
 	return replaced
@@ -166,6 +193,7 @@ func (p *Pool) Remove(obj *Object) bool {
 	}
 	if tree.Len() == 0 {
 		delete(p.files, obj.Inode)
+		p.trees.Release(tree)
 	}
 	p.unlink(obj)
 	return true
@@ -174,11 +202,8 @@ func (p *Pool) Remove(obj *Object) bool {
 // unlink detaches obj from FIFO and accounting (index entry handled by
 // the caller).
 func (p *Pool) unlink(obj *Object) {
-	if obj.elem != nil {
-		p.fifo[obj.Store].Remove(obj.elem)
-		obj.elem = nil
-	}
 	slot := storeSlot(obj.Store)
+	p.fifo[slot].Remove(&obj.fifo)
 	if n := p.acct.used[slot].Add(-obj.Size); n < 0 {
 		// Defensive clamp, as before the atomics: structural mutations
 		// are caller-serialized, so no concurrent writer can interleave.
@@ -189,42 +214,48 @@ func (p *Pool) unlink(obj *Object) {
 
 // Oldest returns the pool's oldest object in the given store, or nil.
 func (p *Pool) Oldest(st cgroup.StoreType) *Object {
-	q, ok := p.fifo[st]
-	if !ok || q.Len() == 0 {
-		return nil
-	}
-	obj, _ := q.Front().Value.(*Object)
-	return obj
+	return p.fifo[storeSlot(st)].Front()
 }
 
-// RemoveInode removes and returns all objects of a file (FlushInode,
-// container teardown helpers).
+// RemoveInode removes and returns all objects of a file, in block order
+// (FlushInode, migration). The slice is the pool's own scratch buffer:
+// it is valid until the pool's next RemoveInode or DrainAll, and
+// recycling or re-inserting the objects it lists does not disturb it.
 func (p *Pool) RemoveInode(inode uint64) []*Object {
 	tree, ok := p.files[inode]
 	if !ok {
 		return nil
 	}
-	objs := make([]*Object, 0, tree.Len())
+	p.removed = p.removed[:0]
+	p.removeTree(inode, tree)
+	return p.removed
+}
+
+// removeTree appends the objects of inode's tree to p.removed, unlinks
+// them and drops the tree.
+func (p *Pool) removeTree(inode uint64, tree *radix.Tree) {
+	first := len(p.removed)
 	tree.ForEach(func(_ int64, v any) bool {
 		if obj, ok := v.(*Object); ok {
-			objs = append(objs, obj)
+			p.removed = append(p.removed, obj)
 		}
 		return true
 	})
-	for _, obj := range objs {
+	for _, obj := range p.removed[first:] {
 		p.unlink(obj)
 	}
 	delete(p.files, inode)
-	return objs
+	p.trees.Release(tree)
 }
 
-// DrainAll removes and returns every object in the pool (DestroyPool).
+// DrainAll removes and returns every object in the pool (DestroyPool),
+// in the same scratch buffer and under the same rule as RemoveInode.
 func (p *Pool) DrainAll() []*Object {
-	objs := make([]*Object, 0, p.acct.count.Load())
-	for inode := range p.files {
-		objs = append(objs, p.RemoveInode(inode)...)
+	p.removed = p.removed[:0]
+	for inode, tree := range p.files {
+		p.removeTree(inode, tree)
 	}
-	return objs
+	return p.removed
 }
 
 // Inodes returns the inode numbers currently indexed (order unspecified).

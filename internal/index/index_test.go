@@ -217,3 +217,86 @@ func TestAcctViewTracksPool(t *testing.T) {
 		t.Errorf("count after remove = %d, want 1", got)
 	}
 }
+
+func TestRecycledObjectComesBackZeroed(t *testing.T) {
+	p := NewPool(1, 1, "c1")
+	o := p.NewObject()
+	o.Inode, o.Block, o.Size, o.Store = 10, 5, 4096, cgroup.StoreSSD
+	o.Seq, o.Content, o.Pending = 99, 0xfeed, true
+	p.Insert(o)
+	p.Recycle(o) // still indexed: must be refused
+	if fresh := p.NewObject(); fresh == o {
+		t.Fatal("Recycle took an object that is still in the index")
+	}
+	p.Remove(o)
+	p.Recycle(o)
+	p.Recycle(o) // twice is once
+	if o.Size != 4096 || o.Seq != 99 {
+		t.Fatalf("a recycled object must stay readable until it is reused: %+v", o)
+	}
+	again := p.NewObject()
+	if again != o {
+		t.Fatal("NewObject did not reuse the recycled object")
+	}
+	if *again != (Object{}) {
+		t.Fatalf("reused object carries state from its last life: %+v", again)
+	}
+	if third := p.NewObject(); third == o {
+		t.Fatal("one recycled object was handed out twice")
+	}
+}
+
+func TestQueuedObjectIsNotRecycled(t *testing.T) {
+	p := NewPool(1, 1, "c1")
+	o := p.NewObject()
+	o.Inode, o.Size, o.Store = 1, 4096, cgroup.StoreRemote
+	o.Queued = true // a write-behind ring slot points at it
+	p.Insert(o)
+	p.Remove(o)
+	p.Recycle(o)
+	if fresh := p.NewObject(); fresh == o {
+		t.Fatal("an object was reused while a ring slot still points at it")
+	}
+	o.Queued = false // the drain popped the slot
+	p.Recycle(o)
+	if p.NewObject() != o {
+		t.Fatal("the object was not reusable once its ring slot was popped")
+	}
+}
+
+func TestRemovedSliceSurvivesRecycleAndReinsert(t *testing.T) {
+	// Callers walk the RemoveInode result releasing (recycling) some
+	// objects and moving others to a different pool as they go.
+	src, dst := NewPool(1, 1, "src"), NewPool(2, 1, "dst")
+	for b := int64(0); b < 8; b++ {
+		o := src.NewObject()
+		o.Inode, o.Block, o.Size, o.Store = 7, b, 4096, cgroup.StoreMem
+		src.Insert(o)
+	}
+	objs := src.RemoveInode(7)
+	for i, o := range objs {
+		if o.Block != int64(i) {
+			t.Fatalf("objs[%d] is block %d, want block order", i, o.Block)
+		}
+		if i%2 == 0 {
+			src.Recycle(o)
+		} else {
+			dst.Insert(o)
+		}
+	}
+	if dst.Count() != 4 || src.Count() != 0 || dst.Lookup(7, 3) == nil || dst.Lookup(7, 3).Pool != 2 {
+		t.Fatalf("src %d dst %d after the move, want 0/4", src.Count(), dst.Count())
+	}
+	// The emptied tree and the recycled objects serve the next file.
+	for b := int64(0); b < 4; b++ {
+		o := src.NewObject()
+		o.Inode, o.Block, o.Size, o.Store = 9, b, 4096, cgroup.StoreMem
+		src.Insert(o)
+		if dst.Lookup(7, 1) == o || dst.Lookup(7, 3) == o || dst.Lookup(7, 5) == o || dst.Lookup(7, 7) == o {
+			t.Fatal("src reused an object that now lives in dst")
+		}
+	}
+	if got := src.Oldest(cgroup.StoreMem); got == nil || got.Inode != 9 || got.Block != 0 {
+		t.Fatalf("FIFO head after reuse = %+v, want (9,0)", got)
+	}
+}

@@ -8,13 +8,13 @@
 package pagecache
 
 import (
-	"container/list"
 	"time"
 
 	"doubledecker/internal/blockdev"
 	"doubledecker/internal/cgroup"
 	"doubledecker/internal/cleancache"
 	"doubledecker/internal/fsmodel"
+	"doubledecker/internal/ilist"
 )
 
 // PageHitCost is the CPU cost of serving one page from the page cache.
@@ -33,11 +33,13 @@ type page struct {
 	diskOff int64
 	content uint64 // content identity (for deduplicating cache stores)
 	g       *cgroup.Group
-	dirty   bool
-	elem    *list.Element // position in the group LRU
-	dirtyEl *list.Element // position in the dirty FIFO, nil when clean
 	touched time.Duration
+
+	lru    ilist.Elem[page] // position in the group LRU; the free-list link once dropped
+	dirtyQ ilist.Elem[page] // position in the group's dirty FIFO: linked is what dirty means
 }
+
+func (p *page) dirty() bool { return p.dirtyQ.Linked() }
 
 // IOStats aggregates one group's page cache activity.
 type IOStats struct {
@@ -59,13 +61,26 @@ type Cache struct {
 	disk  blockdev.Device
 
 	pages map[uint64]map[int64]*page // inode → block → page
-	lrus  map[*cgroup.Group]*list.List
+	lrus  map[*cgroup.Group]*ilist.List[page]
 	// dirty pages are tracked per group (as the kernel's per-bdi/task
 	// dirty accounting does) so one container's write flood throttles
 	// only itself.
-	dirty      map[*cgroup.Group]*list.List
+	dirty      map[*cgroup.Group]*ilist.List[page]
 	dirtyTotal int
 	stats      map[*cgroup.Group]*IOStats
+
+	// free holds dropped page structs for insert to reuse. A dropped
+	// page keeps its fields until then, so a writeback run collected
+	// before a drop stays readable up to the next insert. spareBlocks
+	// holds the emptied per-inode maps of files with no resident page.
+	free        ilist.List[page]
+	spareBlocks []map[int64]*page
+	// Scratch buffers, each owned by one non-reentrant path: the handles
+	// of the miss-run window in flight, the writeback run being cleaned,
+	// the dirty blocks of the file being fsynced.
+	window      []cleancache.PendingRead
+	run         []*page
+	fsyncBlocks []int64
 
 	// accessHook, when set, observes every read access (hit or miss) —
 	// the feed for MRC/WSS estimators driving adaptive policies.
@@ -91,12 +106,11 @@ func New(root *cgroup.Root, front *cleancache.Front, disk blockdev.Device) *Cach
 		front: front,
 		disk:  disk,
 		pages: make(map[uint64]map[int64]*page),
-		lrus:  make(map[*cgroup.Group]*list.List),
-		dirty: make(map[*cgroup.Group]*list.List),
+		lrus:  make(map[*cgroup.Group]*ilist.List[page]),
+		dirty: make(map[*cgroup.Group]*ilist.List[page]),
 		stats: make(map[*cgroup.Group]*IOStats),
-
-		readWindow: 1,
 	}
+	c.SetReadWindow(1)
 	root.SetReclaimer(c)
 	return c
 }
@@ -120,6 +134,7 @@ func (c *Cache) SetReadWindow(n int) {
 		n = 1
 	}
 	c.readWindow = n
+	c.window = make([]cleancache.PendingRead, 0, n)
 }
 
 // Stats returns the accumulated counters for g.
@@ -139,28 +154,35 @@ func (c *Cache) statsFor(g *cgroup.Group) *IOStats {
 	return s
 }
 
-func (c *Cache) lruFor(g *cgroup.Group) *list.List {
+func (c *Cache) lruFor(g *cgroup.Group) *ilist.List[page] {
 	l, ok := c.lrus[g]
 	if !ok {
-		l = list.New()
+		l = new(ilist.List[page])
 		c.lrus[g] = l
 	}
 	return l
 }
 
-func (c *Cache) dirtyFor(g *cgroup.Group) *list.List {
+func (c *Cache) dirtyFor(g *cgroup.Group) *ilist.List[page] {
 	l, ok := c.dirty[g]
 	if !ok {
-		l = list.New()
+		l = new(ilist.List[page])
 		c.dirty[g] = l
 	}
 	return l
 }
 
 func (c *Cache) markDirty(p *page) {
-	p.dirty = true
-	p.dirtyEl = c.dirtyFor(p.g).PushBack(p)
+	c.dirtyFor(p.g).PushBack(&p.dirtyQ, p)
 	c.dirtyTotal++
+}
+
+// markClean takes a page off its group's dirty FIFO, if it is on it.
+func (c *Cache) markClean(p *page) {
+	if p.dirty() {
+		c.dirtyFor(p.g).Remove(&p.dirtyQ)
+		c.dirtyTotal--
+	}
 }
 
 func (c *Cache) lookup(inode uint64, block int64) *page {
@@ -175,16 +197,23 @@ func (c *Cache) lookup(inode uint64, block int64) *page {
 // first. Returns the reclaim latency incurred.
 func (c *Cache) insert(now time.Duration, g *cgroup.Group, inode uint64, block, diskOff int64, content uint64, dirty bool) (*page, time.Duration) {
 	lat := g.EnsureRoom(now, 1)
-	p := &page{inode: inode, block: block, diskOff: diskOff, content: content, g: g, dirty: dirty, touched: now + lat}
+	p := c.free.PopFront()
+	if p == nil {
+		p = new(page)
+	}
+	*p = page{inode: inode, block: block, diskOff: diskOff, content: content, g: g, touched: now + lat}
 	blocks, ok := c.pages[inode]
 	if !ok {
-		blocks = make(map[int64]*page)
+		if n := len(c.spareBlocks); n > 0 {
+			blocks, c.spareBlocks = c.spareBlocks[n-1], c.spareBlocks[:n-1]
+		} else {
+			blocks = make(map[int64]*page)
+		}
 		c.pages[inode] = blocks
 	}
 	blocks[block] = p
-	p.elem = c.lruFor(g).PushFront(p)
+	c.lruFor(g).PushFront(&p.lru, p)
 	if dirty {
-		p.dirty = false // markDirty sets it
 		c.markDirty(p)
 	}
 	g.ChargeFile(1)
@@ -194,23 +223,22 @@ func (c *Cache) insert(now time.Duration, g *cgroup.Group, inode uint64, block, 
 // touch refreshes a page's LRU position.
 func (c *Cache) touch(now time.Duration, p *page) {
 	p.touched = now
-	c.lruFor(p.g).MoveToFront(p.elem)
+	c.lruFor(p.g).MoveToFront(&p.lru)
 }
 
-// drop removes a page from all structures without writeback.
+// drop removes a page from all structures without writeback and keeps
+// the struct for reuse.
 func (c *Cache) drop(p *page) {
 	blocks := c.pages[p.inode]
 	delete(blocks, p.block)
 	if len(blocks) == 0 {
 		delete(c.pages, p.inode)
+		c.spareBlocks = append(c.spareBlocks, blocks)
 	}
-	c.lruFor(p.g).Remove(p.elem)
-	if p.dirtyEl != nil {
-		c.dirtyFor(p.g).Remove(p.dirtyEl)
-		p.dirtyEl = nil
-		c.dirtyTotal--
-	}
+	c.lruFor(p.g).Remove(&p.lru)
+	c.markClean(p)
 	p.g.UnchargeFile(1)
+	c.free.PushFront(&p.lru, p)
 }
 
 // Read serves n blocks of f starting at start on behalf of g, returning
@@ -260,7 +288,6 @@ func (c *Cache) readMissRun(base time.Duration, g *cgroup.Group, f *fsmodel.File
 	var (
 		lat              time.Duration
 		runStart, runLen int64
-		handles          []*cleancache.PendingRead
 	)
 	flushRun := func() {
 		if runLen == 0 {
@@ -284,28 +311,29 @@ func (c *Cache) readMissRun(base time.Duration, g *cgroup.Group, f *fsmodel.File
 		for we < end && we-wb < int64(c.readWindow) && c.lookup(inode, we) == nil {
 			we++
 		}
-		handles = handles[:0]
+		// The window is fully awaited below before the next one is
+		// issued, so its handles live in the cache's scratch buffer.
+		handles := c.window[:0]
 		for pb := wb; pb < we; pb++ {
 			if c.accessHook != nil && pb > b {
 				c.accessHook(g, inode, pb)
 			}
-			var pr *cleancache.PendingRead // stays nil without a front
 			if c.front != nil {
-				var sl time.Duration
-				pr, sl = c.front.GetAsync(base+lat, g, inode, pb)
+				pr, sl := c.front.GetAsync(base+lat, g, inode, pb)
 				lat += sl
+				handles = append(handles, pr)
 			}
-			handles = append(handles, pr)
 		}
 		st.Misses += we - wb
-		for i, pr := range handles {
+		for pb := wb; pb < we; pb++ {
 			hit := false
-			if pr != nil {
+			var pr *cleancache.PendingRead // stays nil without a front
+			if c.front != nil {
+				pr = &handles[pb-wb]
 				var wl time.Duration
 				hit, wl = c.front.AwaitRead(base+lat, pr)
 				lat += wl
 			}
-			pb := wb + int64(i)
 			if !hit {
 				if pr != nil && pr.Expired() {
 					st.DeadlineFallbacks++
@@ -340,7 +368,7 @@ func (c *Cache) Write(now time.Duration, g *cgroup.Group, f *fsmodel.File, start
 		at := now + lat
 		if p := c.lookup(uint64(f.Inode), b); p != nil {
 			c.touch(at, p)
-			if !p.dirty {
+			if !p.dirty() {
 				c.markDirty(p)
 			}
 			c.writeSeq++
@@ -369,12 +397,13 @@ func (c *Cache) Fsync(now time.Duration, g *cgroup.Group, f *fsmodel.File) time.
 		return 0
 	}
 	// Collect dirty blocks in ascending order for run coalescing.
-	var dirtyBlocks []int64
+	dirtyBlocks := c.fsyncBlocks[:0]
 	for b, p := range blocks {
-		if p.dirty {
+		if p.dirty() {
 			dirtyBlocks = append(dirtyBlocks, b)
 		}
 	}
+	c.fsyncBlocks = dirtyBlocks
 	if len(dirtyBlocks) == 0 {
 		return 0
 	}
@@ -398,13 +427,7 @@ func (c *Cache) Fsync(now time.Duration, g *cgroup.Group, f *fsmodel.File) time.
 	}
 	flushRun(runStart, runLen)
 	for _, b := range dirtyBlocks {
-		p := blocks[b]
-		p.dirty = false
-		if p.dirtyEl != nil {
-			c.dirtyFor(p.g).Remove(p.dirtyEl)
-			p.dirtyEl = nil
-			c.dirtyTotal--
-		}
+		c.markClean(blocks[b])
 	}
 	return lat
 }
@@ -412,15 +435,8 @@ func (c *Cache) Fsync(now time.Duration, g *cgroup.Group, f *fsmodel.File) time.
 // Invalidate drops all pages of f (file deletion/truncation) without
 // writeback and flushes the file from the second-chance cache.
 func (c *Cache) Invalidate(now time.Duration, g *cgroup.Group, f *fsmodel.File) time.Duration {
-	blocks, ok := c.pages[uint64(f.Inode)]
-	if ok {
-		pages := make([]*page, 0, len(blocks))
-		for _, p := range blocks {
-			pages = append(pages, p)
-		}
-		for _, p := range pages {
-			c.drop(p)
-		}
+	for _, p := range c.pages[uint64(f.Inode)] {
+		c.drop(p) // deletes from the map being ranged over, which Go permits
 	}
 	if c.front != nil {
 		return c.front.FlushInode(now, g, uint64(f.Inode))
@@ -430,24 +446,22 @@ func (c *Cache) Invalidate(now time.Duration, g *cgroup.Group, f *fsmodel.File) 
 
 // dirtyRun collects the oldest dirty page of l plus following entries
 // that are disk-contiguous with it (writeback clustering). It does not
-// mutate state.
-func dirtyRun(l *list.List, max int) []*page {
-	if l == nil || l.Len() == 0 {
+// mutate list state; the run lives in the cache's scratch buffer, valid
+// until the next dirtyRun or reclaim.
+func (c *Cache) dirtyRun(l *ilist.List[page], max int) []*page {
+	first := l.Front()
+	if first == nil {
 		return nil
 	}
-	first, ok := l.Front().Value.(*page)
-	if !ok {
-		return nil
-	}
-	run := []*page{first}
-	for e := first.dirtyEl.Next(); e != nil && len(run) < max; e = e.Next() {
-		q, ok := e.Value.(*page)
-		if !ok || q.inode != first.inode ||
+	run := append(c.run[:0], first)
+	for q := first.dirtyQ.Next(); q != nil && len(run) < max; q = q.dirtyQ.Next() {
+		if q.inode != first.inode ||
 			q.diskOff != run[len(run)-1].diskOff+fsmodel.BlockSize {
 			break
 		}
 		run = append(run, q)
 	}
+	c.run = run
 	return run
 }
 
@@ -455,12 +469,7 @@ func dirtyRun(l *list.List, max int) []*page {
 func (c *Cache) clean(run []*page) {
 	for _, p := range run {
 		c.statsFor(p.g).DiskWrites++
-		p.dirty = false
-		if p.dirtyEl != nil {
-			c.dirtyFor(p.g).Remove(p.dirtyEl)
-			p.dirtyEl = nil
-			c.dirtyTotal--
-		}
+		c.markClean(p)
 	}
 }
 
@@ -481,7 +490,7 @@ func (c *Cache) throttleDirty(now time.Duration, g *cgroup.Group) time.Duration 
 	var lat time.Duration
 	l := c.dirty[g]
 	for l != nil && l.Len() > limit {
-		run := dirtyRun(l, 256)
+		run := c.dirtyRun(l, 256)
 		if len(run) == 0 {
 			break
 		}
@@ -527,7 +536,7 @@ func (c *Cache) FlushDirty(now time.Duration, max int) int {
 			if rem := max - n; limit > rem {
 				limit = rem
 			}
-			run := dirtyRun(l, limit)
+			run := c.dirtyRun(l, limit)
 			if len(run) == 0 {
 				continue
 			}
@@ -577,24 +586,24 @@ func (c *Cache) ReclaimFile(now time.Duration, g *cgroup.Group, want int64) (int
 		freed int64
 		lat   time.Duration
 	)
-	for freed < want && l.Len() > 0 {
-		p, ok := l.Back().Value.(*page)
-		if !ok {
+	for freed < want {
+		p := l.Back()
+		if p == nil {
 			break
 		}
-		if p.dirty {
+		if p.dirty() {
 			// Cluster the writeback: walk up the LRU for contiguous
 			// dirty pages of the same file (they aged together) and
 			// clean them with one device write.
-			run := []*page{p}
-			for e := p.elem.Prev(); e != nil; e = e.Prev() {
-				q, ok := e.Value.(*page)
-				if !ok || !q.dirty || q.inode != p.inode ||
+			run := append(c.run[:0], p)
+			for q := p.lru.Prev(); q != nil; q = q.lru.Prev() {
+				if !q.dirty() || q.inode != p.inode ||
 					q.diskOff != run[len(run)-1].diskOff+fsmodel.BlockSize {
 					break
 				}
 				run = append(run, q)
 			}
+			c.run = run
 			wl, _ := c.disk.Write(now+lat, p.diskOff, int64(len(run))*fsmodel.BlockSize) // ddlint:err-ok guest disk errors are outside the cleancache failure model
 			lat += wl
 			c.clean(run)
@@ -615,11 +624,7 @@ func (c *Cache) OldestFilePage(g *cgroup.Group) (time.Duration, bool) {
 	if !ok || l.Len() == 0 {
 		return 0, false
 	}
-	p, ok := l.Back().Value.(*page)
-	if !ok {
-		return 0, false
-	}
-	return p.touched, true
+	return l.Back().touched, true
 }
 
 // sortInt64s is a small insertion-capable sort to avoid pulling reflect-

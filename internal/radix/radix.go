@@ -11,22 +11,95 @@ const (
 	mask   = fanout - 1
 )
 
+// maxLevels is the deepest a tree can grow: 63 key bits in 6-bit digits.
+const maxLevels = (63 + bits - 1) / bits
+
 type node struct {
 	slots [fanout]any // *node at interior levels, user values at leaves
 	count int         // occupied slots
 }
 
 // Tree maps non-negative int64 keys to values. The zero value is not
-// usable; construct with New.
+// usable; construct with New or Arena.New.
 type Tree struct {
 	root   *node
 	height int // levels below root; key space = fanout^(height+1)
 	size   int
+
+	arena *Arena // nil for a tree from New: nodes come from and go to the heap
+	next  *Tree  // arena free-list link
 }
 
-// New returns an empty tree.
+// New returns an empty tree whose nodes are heap-allocated and left to
+// the garbage collector.
 func New() *Tree {
 	return &Tree{root: &node{}}
+}
+
+// Arena recycles the nodes and headers of the trees drawn from it, so a
+// population of trees that grow, shrink and empty at a steady rate stops
+// allocating: a pruned node or a released tree is kept and handed to the
+// next Insert or New. Like its trees, an Arena is single-owner — the
+// caller serializes every use of the arena and of all trees drawn from it.
+// The zero value is ready to use.
+type Arena struct {
+	nodes *node // empty nodes, chained through slots[0]
+	trees *Tree // released trees (empty root attached), chained through next
+}
+
+// New returns an empty tree drawing its nodes from a.
+func (a *Arena) New() *Tree {
+	if t := a.trees; t != nil {
+		a.trees, t.next = t.next, nil
+		return t
+	}
+	return &Tree{root: a.node(), arena: a}
+}
+
+// Release empties t — which must have been drawn from a — and keeps it,
+// and every node it held, for reuse. The caller must drop its reference.
+func (a *Arena) Release(t *Tree) {
+	if t.size > 0 {
+		a.clear(t.root, t.height)
+	}
+	t.height, t.size = 0, 0
+	t.next, a.trees = a.trees, t
+}
+
+// clear empties n's subtree, freeing every node below n.
+func (a *Arena) clear(n *node, level int) {
+	if level > 0 {
+		for _, s := range n.slots {
+			if child, ok := s.(*node); ok {
+				a.clear(child, level-1)
+				a.free(child)
+			}
+		}
+	}
+	*n = node{}
+}
+
+// node returns an empty node. Nil-safe: without an arena it allocates.
+func (a *Arena) node() *node {
+	if a == nil || a.nodes == nil {
+		return &node{}
+	}
+	n := a.nodes
+	a.nodes, _ = n.slots[0].(*node)
+	n.slots[0] = nil
+	return n
+}
+
+// free keeps the empty node n for reuse. Nil-safe: without an arena the
+// node is left to the garbage collector.
+func (a *Arena) free(n *node) {
+	if a == nil {
+		return
+	}
+	if a.nodes != nil { // a nil *node in the slot would read as occupied
+		n.slots[0] = a.nodes
+	}
+	a.nodes = n
 }
 
 // Len reports the number of stored keys.
@@ -51,7 +124,7 @@ func (t *Tree) grow(key int64) {
 			t.height++
 			continue
 		}
-		n := &node{}
+		n := t.arena.node()
 		n.slots[0] = t.root
 		n.count = 1
 		t.root = n
@@ -75,7 +148,7 @@ func (t *Tree) Insert(key int64, v any) any {
 		idx := slotIndex(key, level)
 		child, ok := n.slots[idx].(*node)
 		if !ok {
-			child = &node{}
+			child = t.arena.node()
 			n.slots[idx] = child
 			n.count++
 		}
@@ -114,10 +187,10 @@ func (t *Tree) Delete(key int64) any {
 		return nil
 	}
 	// Record the path for pruning.
-	path := make([]*node, 0, t.height+1)
+	var path [maxLevels]*node
 	n := t.root
 	for level := t.height; level > 0; level-- {
-		path = append(path, n)
+		path[t.height-level] = n
 		child, ok := n.slots[slotIndex(key, level)].(*node)
 		if !ok {
 			return nil
@@ -133,11 +206,12 @@ func (t *Tree) Delete(key int64) any {
 	n.count--
 	t.size--
 	// Prune empty nodes bottom-up.
-	for i := len(path) - 1; i >= 0 && n.count == 0; i-- {
+	for i := t.height - 1; i >= 0 && n.count == 0; i-- {
 		parent := path[i]
 		level := t.height - i
 		parent.slots[slotIndex(key, level)] = nil
 		parent.count--
+		t.arena.free(n)
 		n = parent
 	}
 	return v

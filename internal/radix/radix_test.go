@@ -1,6 +1,7 @@
 package radix
 
 import (
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -162,5 +163,74 @@ func TestPropertyMatchesMap(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Trees drawn from one arena trade nodes and headers among themselves as
+// they grow, shrink and are released; each must keep behaving exactly
+// like a map[int64]int throughout, and a reused tree must start empty
+// and at height zero, whatever its last tenant held.
+func TestArenaTreesMatchMaps(t *testing.T) {
+	var arena Arena
+	const trees = 4
+	tr := make([]*Tree, trees)
+	ref := make([]map[int64]int, trees)
+	rng := rand.New(rand.NewSource(1))
+	for step := 0; step < 20000; step++ {
+		i := rng.Intn(trees)
+		if tr[i] == nil {
+			tr[i], ref[i] = arena.New(), make(map[int64]int)
+			if tr[i].Len() != 0 || tr[i].height != 0 || tr[i].root.count != 0 {
+				t.Fatalf("step %d: reused tree is not empty: len %d height %d root count %d",
+					step, tr[i].Len(), tr[i].height, tr[i].root.count)
+			}
+		}
+		// Keys cluster in a few leaves and span several heights.
+		k := rng.Int63n(64) << (uint(rng.Intn(4)) * 9)
+		switch op := rng.Intn(100); {
+		case op < 50:
+			prev, had := ref[i][k]
+			if got := tr[i].Insert(k, step); had != (got != nil) || had && got != prev {
+				t.Fatalf("step %d: Insert(%d) returned %v, reference had %v (%v)", step, k, got, prev, had)
+			}
+			ref[i][k] = step
+		case op < 90:
+			prev, had := ref[i][k]
+			if got := tr[i].Delete(k); had != (got != nil) || had && got != prev {
+				t.Fatalf("step %d: Delete(%d) returned %v, reference had %v (%v)", step, k, got, prev, had)
+			}
+			delete(ref[i], k)
+		default:
+			arena.Release(tr[i])
+			tr[i] = nil
+			continue
+		}
+		if tr[i].Len() != len(ref[i]) {
+			t.Fatalf("step %d: Len %d, reference %d", step, tr[i].Len(), len(ref[i]))
+		}
+		if step%64 == 0 {
+			n := 0
+			tr[i].ForEach(func(k int64, v any) bool {
+				if want, ok := ref[i][k]; !ok || v != want {
+					t.Fatalf("step %d: tree holds %d=%v, reference %v (%v)", step, k, v, want, ok)
+				}
+				n++
+				return true
+			})
+			if n != len(ref[i]) {
+				t.Fatalf("step %d: walked %d keys, reference has %d", step, n, len(ref[i]))
+			}
+		}
+	}
+	// Free nodes are empty: a stale slot would surface as a phantom key.
+	for n := arena.nodes; n != nil; n, _ = n.slots[0].(*node) {
+		if n.count != 0 {
+			t.Fatalf("free node has count %d", n.count)
+		}
+		for i, s := range n.slots[1:] {
+			if s != nil {
+				t.Fatalf("free node keeps slot %d", i+1)
+			}
+		}
 	}
 }
