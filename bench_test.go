@@ -184,7 +184,7 @@ func mixedOp(mgr *ddcache.Manager, rng *rand.Rand, vm cleancache.VMID, pools []c
 	key := cleancache.Key{Pool: pool, Inode: uint64(1 + rng.Intn(256)), Block: rng.Int63n(512)}
 	switch r := rng.Intn(100); {
 	case r < 45:
-		_, lat := mgr.Put(0, vm, key, 0)
+		_, lat := mgr.Put(0, vm, key)
 		return lat
 	case r < 85:
 		_, lat := mgr.Get(0, vm, key)
@@ -252,7 +252,7 @@ func BenchmarkDDCachePutGet(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		key := cleancache.Key{Pool: pool, Inode: uint64(i % 512), Block: int64(i % 4096)}
-		mgr.Put(0, 1, key, 0)
+		mgr.Put(0, 1, key)
 		mgr.Get(0, 1, key)
 	}
 }
@@ -267,7 +267,7 @@ func BenchmarkDDCacheEvictionChurn(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// Every put beyond capacity forces the eviction path.
-		mgr.Put(0, 1, cleancache.Key{Pool: pool, Inode: 1, Block: int64(i)}, 0)
+		mgr.Put(0, 1, cleancache.Key{Pool: pool, Inode: 1, Block: int64(i)})
 	}
 }
 
@@ -367,42 +367,6 @@ func BenchmarkAblationHybridStore(b *testing.B) {
 				mbps += r.MBPerSec(engine.Now())
 			}
 			b.ReportMetric(mbps/float64(b.N), "MB/s")
-		})
-	}
-}
-
-// BenchmarkAblationDedup measures the physical-memory savings of the
-// content-deduplication extension when containers serve clones of a
-// golden file set (the paper's related-work direction).
-func BenchmarkAblationDedup(b *testing.B) {
-	for _, dedup := range []bool{false, true} {
-		dedup := dedup
-		name := "off"
-		if dedup {
-			name = "on"
-		}
-		b.Run(name, func(b *testing.B) {
-			var savedMiB float64
-			for i := 0; i < b.N; i++ {
-				engine := sim.New(int64(i + 1))
-				mgr := ddcache.NewManager(ddcache.Config{
-					Mode:  ddcache.ModeDD,
-					Mem:   store.NewMem(blockdev.NewRAM("r"), 512*mib),
-					Dedup: dedup,
-				})
-				mgr.RegisterVM(1, 100)
-				front := cleancache.NewFront(1, hypercall.NewTransport(mgr, hypercall.Options{}))
-				vm := guest.New(engine, guest.Config{ID: 1, MemBytes: 256 * mib}, front)
-				// Two containers read clones of one golden 64 MiB file.
-				golden := vm.Allocator().Alloc(16384)
-				for _, name := range []string{"a", "b"} {
-					c := vm.NewContainer(name, 32*mib, cgroup.HCacheSpec{Store: cgroup.StoreMem, Weight: 50})
-					clone := vm.Allocator().AllocCopy(golden)
-					c.Read(engine.Now(), clone, 0, clone.Blocks)
-				}
-				savedMiB += float64(mgr.DedupSavedBytes()) / float64(mib)
-			}
-			b.ReportMetric(savedMiB/float64(b.N), "saved-MiB")
 		})
 	}
 }

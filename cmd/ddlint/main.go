@@ -7,7 +7,7 @@
 //	             are never touched without it
 //	lockorder    the interprocedural mutex-acquisition graph is acyclic
 //	             and respects the declared ddlint:lock-order hierarchy
-//	             (configMu → eviction tokens → vm locks → dedup shards)
+//	             (configMu → eviction tokens → vm locks → leaf locks)
 //	errflow      error results from the blockdev/store/hypercall/fault
 //	             layers are consumed or waived (ddlint:err-ok) — faults
 //	             degrade to drops or misses, never vanish

@@ -136,26 +136,24 @@ func (op OpCode) Pages() int {
 
 // Request is one guest→hypervisor operation. Field use per op:
 //
-//	GET, FLUSH_PAGE     Key
-//	PUT                 Key, Content
-//	FLUSH_INODE         Key.Pool, Key.Inode
-//	CREATE_CGROUP       Name, Spec
-//	DESTROY_CGROUP      Key.Pool
-//	SET_CG_WEIGHT       Key.Pool, Spec
-//	MIGRATE_OBJECT      Key.Pool (source), To, Key.Inode
-//	GET_STATS           Key.Pool
-//	READ_AHEAD          Key (first block), Count (max blocks)
+//	GET, PUT, FLUSH_PAGE  Key
+//	FLUSH_INODE           Key.Pool, Key.Inode
+//	CREATE_CGROUP         Name, Spec
+//	DESTROY_CGROUP        Key.Pool
+//	SET_CG_WEIGHT         Key.Pool, Spec
+//	MIGRATE_OBJECT        Key.Pool (source), To, Key.Inode
+//	GET_STATS             Key.Pool
+//	READ_AHEAD            Key (first block), Count (max blocks)
 //
 // VM is always set. Requests are value types so a batch is just
 // []Request (or its wire encoding, see internal/hypercall).
 type Request struct {
-	Op      OpCode
-	VM      VMID
-	Key     Key
-	Spec    cgroup.HCacheSpec
-	Name    string
-	Content uint64
-	To      PoolID
+	Op   OpCode
+	VM   VMID
+	Key  Key
+	Spec cgroup.HCacheSpec
+	Name string
+	To   PoolID
 	// Count bounds a READ_AHEAD: the hypervisor stages at most Count
 	// contiguous blocks starting at Key.Block.
 	Count int64
@@ -746,20 +744,18 @@ func (f *Front) ReadAhead(now time.Duration, pool PoolID, inode uint64, block, c
 	return resp.Latency
 }
 
-// Put offers a clean evicted page to the hypervisor cache. content
-// carries the block's content identity for deduplicating stores (0 =
-// unknown). A batching transport may defer delivery; the reported
-// acceptance is then optimistic, which is harmless because the guest
-// drops the page either way (fire-and-forget, as in the paper).
-func (f *Front) Put(now time.Duration, g *cgroup.Group, inode uint64, block int64, content uint64) (bool, time.Duration) {
+// Put offers a clean evicted page to the hypervisor cache. A batching
+// transport may defer delivery; the reported acceptance is then
+// optimistic, which is harmless because the guest drops the page either
+// way (fire-and-forget, as in the paper).
+func (f *Front) Put(now time.Duration, g *cgroup.Group, inode uint64, block int64) (bool, time.Duration) {
 	if g.PoolID() == 0 {
 		return false, 0
 	}
 	f.stats.Puts++
 	resp := f.tr.Submit(now, Request{
 		Op: OpPut, VM: f.vm,
-		Key:     Key{Pool: PoolID(g.PoolID()), Inode: inode, Block: block},
-		Content: content,
+		Key: Key{Pool: PoolID(g.PoolID()), Inode: inode, Block: block},
 	})
 	return resp.Ok, resp.Latency
 }

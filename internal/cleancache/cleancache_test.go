@@ -161,7 +161,7 @@ func TestFilterRejectsNonMatching(t *testing.T) {
 func TestPutGetRoundTrip(t *testing.T) {
 	f, be, g := newTestFront()
 	f.RegisterGroup(0, g)
-	if ok, _ := f.Put(0, g, 42, 7, 0); !ok {
+	if ok, _ := f.Put(0, g, 42, 7); !ok {
 		t.Fatal("put failed")
 	}
 	hit, lat := f.Get(0, g, 42, 7)
@@ -213,7 +213,7 @@ func TestGetIsGetAsyncPlusAwaitRead(t *testing.T) {
 		g := cgroup.NewRoot(1<<30, 0).NewGroup("c1", 0, blockdev.NewHDD("sw"))
 		f.RegisterGroup(0, g)
 		for _, b := range []int64{0, 2, 3, 5, 6, 7} {
-			f.Put(0, g, 9, b, 0)
+			f.Put(0, g, 9, b)
 		}
 		var (
 			hits  []bool
@@ -280,8 +280,8 @@ func TestFlushInodeAndMigrate(t *testing.T) {
 	g2 := root.NewGroup("c2", 0, blockdev.NewHDD("sw"))
 	f.RegisterGroup(0, g2)
 
-	f.Put(0, g, 5, 0, 0)
-	f.Put(0, g, 5, 1, 0)
+	f.Put(0, g, 5, 0)
+	f.Put(0, g, 5, 1)
 	f.MigrateInode(0, g, g2, 5)
 	if be.migrates != 1 {
 		t.Fatal("migrate not forwarded")
@@ -289,7 +289,7 @@ func TestFlushInodeAndMigrate(t *testing.T) {
 	if hit, _ := f.Get(0, g2, 5, 0); !hit {
 		t.Fatal("migrated block not in target pool")
 	}
-	f.Put(0, g, 6, 0, 0)
+	f.Put(0, g, 6, 0)
 	f.FlushInode(0, g, 6)
 	if hit, _ := f.Get(0, g, 6, 0); hit {
 		t.Fatal("flushed inode still cached")
@@ -313,7 +313,7 @@ func TestLookupToStoreRatio(t *testing.T) {
 func TestGroupStats(t *testing.T) {
 	f, _, g := newTestFront()
 	f.RegisterGroup(0, g)
-	f.Put(0, g, 1, 0, 0)
+	f.Put(0, g, 1, 0)
 	if got := f.GroupStats(g); got.Objects != 1 {
 		t.Fatalf("GroupStats.Objects = %d, want 1", got.Objects)
 	}
@@ -337,7 +337,7 @@ func TestSequentialDetectorIssuesReadAhead(t *testing.T) {
 	f.SetReadAhead(4)
 	f.RegisterGroup(0, g)
 	for b := int64(0); b < 12; b++ {
-		f.Put(0, g, 1, b, 0)
+		f.Put(0, g, 1, b)
 	}
 	opsBefore := len(be.ops)
 
@@ -368,7 +368,7 @@ func TestRandomAccessNeverTriggersReadAhead(t *testing.T) {
 	f.SetReadAhead(4)
 	f.RegisterGroup(0, g)
 	for b := int64(0); b < 16; b++ {
-		f.Put(0, g, 1, b, 0)
+		f.Put(0, g, 1, b)
 	}
 	for _, b := range []int64{0, 5, 2, 9, 1, 14, 7, 3, 11} {
 		f.Get(0, g, 1, b)
@@ -386,7 +386,7 @@ func TestReadAheadWindowsDoNotOverlap(t *testing.T) {
 	f.SetReadAhead(4)
 	f.RegisterGroup(0, g)
 	for b := int64(0); b < 32; b++ {
-		f.Put(0, g, 1, b, 0)
+		f.Put(0, g, 1, b)
 	}
 	sk := streamKey{pool: PoolID(g.PoolID()), inode: 1}
 	covered := make(map[int64]int)

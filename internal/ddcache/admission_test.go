@@ -33,7 +33,7 @@ func TestAdmissionBudgetShedsDataPathOnly(t *testing.T) {
 	// data-path op and still admit control ops and flushes.
 	m.inflightOps.Add(1)
 	key0 := cleancache.Key{Pool: pool, Inode: 99, Block: 0}
-	if pr := m.Dispatch(0, cleancache.Request{Op: cleancache.OpPut, VM: 1, Key: key0, Content: 7}); pr.Ok {
+	if pr := m.Dispatch(0, cleancache.Request{Op: cleancache.OpPut, VM: 1, Key: key0}); pr.Ok {
 		t.Fatalf("put admitted over a saturated budget: %+v", pr)
 	}
 	if gr := m.Dispatch(0, cleancache.Request{Op: cleancache.OpGet, VM: 1, Key: key0}); gr.Ok {
@@ -65,7 +65,7 @@ func TestAdmissionBudgetShedsDataPathOnly(t *testing.T) {
 			for i := 0; i < opsPerWorker; i++ {
 				key := cleancache.Key{Pool: pool, Inode: uint64(w + 1), Block: int64(i)}
 				at := time.Duration(i) * time.Microsecond
-				pr := m.Dispatch(at, cleancache.Request{Op: cleancache.OpPut, VM: 1, Key: key, Content: uint64(i)})
+				pr := m.Dispatch(at, cleancache.Request{Op: cleancache.OpPut, VM: 1, Key: key})
 				gr := m.Dispatch(at, cleancache.Request{Op: cleancache.OpGet, VM: 1, Key: key})
 				if pr.Ok && !gr.Ok {
 					// A shed get after an admitted put: legal — shed is a
@@ -104,7 +104,7 @@ func TestAdmissionOffShedsNothing(t *testing.T) {
 	pool := resp.Pool
 	for i := int64(0); i < 512; i++ {
 		key := cleancache.Key{Pool: pool, Inode: 1, Block: i}
-		m.Dispatch(0, cleancache.Request{Op: cleancache.OpPut, VM: 1, Key: key, Content: uint64(i)})
+		m.Dispatch(0, cleancache.Request{Op: cleancache.OpPut, VM: 1, Key: key})
 		if gr := m.Dispatch(0, cleancache.Request{Op: cleancache.OpGet, VM: 1, Key: key}); !gr.Ok {
 			t.Fatalf("get %d missed with admission off", i)
 		}

@@ -41,37 +41,6 @@ func TestConcurrentMixedOps(t *testing.T) {
 	checkAccounting(t, m, 4)
 }
 
-// TestConcurrentDedup runs the same fan-out with content deduplication on,
-// so cross-VM duplicate puts race on the shared content-reference table.
-func TestConcurrentDedup(t *testing.T) {
-	mem := store.NewMem(blockdev.NewRAM("ram"), 32<<20)
-	m := NewManager(Config{Mode: ModeDD, Mem: mem, Dedup: true})
-	res := RunStress(m, StressOptions{
-		VMs:          4,
-		WorkersPerVM: 2,
-		PoolsPerVM:   2,
-		Ops:          4000,
-		Seed:         2,
-		Inodes:       32,
-		Blocks:       32,
-		Content:      true,
-	})
-	if res.Puts == 0 {
-		t.Fatalf("no puts accepted: %+v", res)
-	}
-	if m.DedupSavedBytes() < 0 {
-		t.Fatalf("negative dedup savings: %d", m.DedupSavedBytes())
-	}
-	// With sharing, physical occupancy cannot exceed the logical total.
-	var logical int64
-	for vm := 1; vm <= 4; vm++ {
-		logical += m.VMUsedBytes(cleancache.VMID(vm), cgroup.StoreMem)
-	}
-	if phys := m.StoreUsedBytes(cgroup.StoreMem); phys > logical {
-		t.Fatalf("physical bytes %d exceed logical bytes %d", phys, logical)
-	}
-}
-
 // TestConcurrentCapacityShrink races dynamic capacity reconfiguration
 // against the data path (the paper's dynamic re-provisioning, made safe).
 func TestConcurrentCapacityShrink(t *testing.T) {
@@ -98,9 +67,9 @@ func TestConcurrentCapacityShrink(t *testing.T) {
 	checkAccounting(t, m, 4)
 }
 
-// checkAccounting verifies, at quiescence and without deduplication, that
-// each backend's physical occupancy equals the sum of the per-pool index
-// accounting — the invariant unsynchronized counters corrupt first.
+// checkAccounting verifies, at quiescence, that each backend's physical
+// occupancy equals the sum of the per-pool index accounting — the
+// invariant unsynchronized counters corrupt first.
 func checkAccounting(t *testing.T, m *Manager, vms int) {
 	t.Helper()
 	for _, st := range []cgroup.StoreType{cgroup.StoreMem, cgroup.StoreSSD} {

@@ -41,9 +41,6 @@
 //   - Object state — each pool's index structure — is striped per VM:
 //     poolState.idx and poolState.dead are guarded by the owning VM's
 //     vmState.mu, so guests operating on different VMs never contend.
-//   - The cross-VM content-reference table used by deduplication is an
-//     N-way sharded hash table (see dedup.go): contentKey hashes select
-//     a shard mutex, replacing the old manager-global dedupMu.
 //   - Everything the manager knows about one tier — its backend, its
 //     circuit breaker, its eviction token — is one row of the tier table
 //     (Manager.tiers, built once in NewManager). Capacity enforcement
@@ -62,14 +59,13 @@
 //  3. vmState.mu — one VM's pool indexes and liveness flags. Cross-VM
 //     migration acquires two VM locks in VM-id order; every other
 //     operation holds at most one.
-//  4. Leaf locks: dedup shard mutexes, the breakers' internal locks, the
-//     demotion queue's ring mutex.
+//  4. Leaf locks: the breakers' internal locks and the demotion queue's
+//     ring mutex.
 //
 // The order is machine-checked: ddlint's lockorder analyzer verifies
 // every acquisition (including through callees) against the chains
 // below; every tier's token is the one node tier.token.
 //
-// ddlint:lock-order Manager.configMu < tier.token < vmState.mu < dedupShard.mu
 // ddlint:lock-order Manager.configMu < tier.token < vmState.mu < breaker.mu
 // ddlint:lock-order Manager.configMu < tier.token < vmState.mu < demoteQueue.mu
 //
@@ -153,17 +149,13 @@ type Config struct {
 	// VictimSelector allows the ablation benchmarks to swap out the
 	// Algorithm 1 variant; nil selects the paper's algorithm.
 	VictimSelector func(ents []policy.Entity, evictionSize int64) int
-	// Dedup enables content deduplication within each store: objects
-	// with the same content identity share one physical copy (the
-	// extension the paper names in its related-work discussion).
-	Dedup bool
 	// Inclusive disables the exclusive-caching protocol: gets leave the
 	// object in the cache, so guest page cache and hypervisor cache hold
 	// duplicate copies — the wasteful design the paper's §2 argues
 	// against. For the ablation benchmark only.
 	Inclusive bool
 	// Metrics receives the SSD circuit breaker's trip/probe/restore
-	// events, the epoch.*/shard.* gauges, and the breaker state gauge;
+	// events, the epoch.* gauges, and the breaker state gauge;
 	// nil disables recording.
 	Metrics *metrics.Registry
 	// Breaker tunes the SSD circuit breaker; the zero value selects the
@@ -261,9 +253,6 @@ type Manager struct {
 	// lock-free by the data path and swapped by configuration ops.
 	epoch atomic.Pointer[epoch]
 
-	// dedup is the sharded cross-VM content-reference table (leaf locks).
-	dedup *dedupTable
-
 	// tiers is the tier table, indexed by entSlot and immutable after
 	// NewManager apart from each row's token. Slots no tier of tierOrder
 	// maps to (unknown, hybrid) stay zero: no backend, so nothing is ever
@@ -303,12 +292,6 @@ type tier struct {
 	token sync.Mutex
 }
 
-// contentKey identifies one deduplicated physical copy.
-type contentKey struct {
-	store   cgroup.StoreType
-	content uint64
-}
-
 var _ cleancache.Backend = (*Manager)(nil)
 
 // NewManager returns a manager over the configured stores; zero Config
@@ -329,7 +312,6 @@ func NewManager(cfg Config) *Manager {
 	m := &Manager{
 		cfg:      cfg,
 		nextPool: 1,
-		dedup:    newDedupTable(),
 	}
 	m.epoch.Store(emptyEpoch())
 	// The tier table: the one place a tier's backend, breaker tuning and
@@ -646,9 +628,7 @@ func (m *Manager) RemoteBreakerStats() BreakerStats {
 }
 
 // Put handles the PUT op: stores a clean page evicted by the
-// guest, evicting per Algorithm 1 when the target store is full. With
-// deduplication enabled, an object whose content is already stored shares
-// the existing physical copy.
+// guest, evicting per Algorithm 1 when the target store is full.
 //
 // The fast path runs entirely under the VM lock (epoch state is read
 // lock-free); only when the target store is full does Put drop to the
@@ -657,8 +637,8 @@ func (m *Manager) RemoteBreakerStats() BreakerStats {
 // reach the demotion batch threshold, the put drains the queue after
 // releasing its locks — demotion I/O is batched onto put boundaries,
 // never charged to gets.
-func (m *Manager) Put(now time.Duration, vm cleancache.VMID, key cleancache.Key, content uint64) (bool, time.Duration) {
-	ok, lat := m.putInner(now, vm, key, content)
+func (m *Manager) Put(now time.Duration, vm cleancache.VMID, key cleancache.Key) (bool, time.Duration) {
+	ok, lat := m.putInner(now, vm, key)
 	if m.demote.ready() {
 		lat += m.drainDemotions(now + lat)
 	}
@@ -667,7 +647,7 @@ func (m *Manager) Put(now time.Duration, vm cleancache.VMID, key cleancache.Key,
 
 // putInner is Put minus the demotion-drain trigger; it returns with no
 // locks held.
-func (m *Manager) putInner(now time.Duration, _ cleancache.VMID, key cleancache.Key, content uint64) (bool, time.Duration) {
+func (m *Manager) putInner(now time.Duration, _ cleancache.VMID, key cleancache.Key) (bool, time.Duration) {
 	pe, ok := m.epoch.Load().pools[key.Pool]
 	if !ok {
 		return false, 0
@@ -687,15 +667,14 @@ func (m *Manager) putInner(now time.Duration, _ cleancache.VMID, key cleancache.
 		v.mu.Unlock()
 		return false, lat
 	}
-	dedup := m.cfg.Dedup && content != 0
-	if m.needsPhysical(t.kind, content, dedup) && t.be.UsedBytes()+ObjectSize > t.be.CapacityBytes() {
+	if t.be.UsedBytes()+ObjectSize > t.be.CapacityBytes() {
 		// Eviction runs under the store's eviction token; drop the VM
 		// lock (tokens are above VM locks in the hierarchy) and retry on
 		// the slow path.
 		v.mu.Unlock()
-		return m.putSlow(now, key, content, lat)
+		return m.putSlow(now, key, lat)
 	}
-	ok = m.commitPut(now, p, t, key, content, dedup, &lat)
+	ok = m.commitPut(now, p, t, key, &lat)
 	if !ok {
 		p.counters.putRejects.Add(1)
 	}
@@ -707,7 +686,7 @@ func (m *Manager) putInner(now time.Duration, _ cleancache.VMID, key cleancache.
 // the store's eviction token, then re-resolves the pool in the current
 // epoch (the pool may have been destroyed while no lock was held) and
 // stores.
-func (m *Manager) putSlow(now time.Duration, key cleancache.Key, content uint64, lat time.Duration) (bool, time.Duration) {
+func (m *Manager) putSlow(now time.Duration, key cleancache.Key, lat time.Duration) (bool, time.Duration) {
 	pe, ok := m.epoch.Load().pools[key.Pool]
 	if !ok {
 		return false, lat
@@ -718,8 +697,7 @@ func (m *Manager) putSlow(now time.Duration, key cleancache.Key, content uint64,
 		p.counters.putRejects.Add(1)
 		return false, lat
 	}
-	dedup := m.cfg.Dedup && content != 0
-	if m.needsPhysical(t.kind, content, dedup) && t.be.UsedBytes()+ObjectSize > t.be.CapacityBytes() {
+	if t.be.UsedBytes()+ObjectSize > t.be.CapacityBytes() {
 		lat += m.enforceCapacity(now+lat, t.kind, ObjectSize)
 		if t.be.UsedBytes()+ObjectSize > t.be.CapacityBytes() {
 			p.counters.putRejects.Add(1)
@@ -732,50 +710,30 @@ func (m *Manager) putSlow(now time.Duration, key cleancache.Key, content uint64,
 	if p.dead {
 		return false, lat
 	}
-	if !m.commitPut(now, p, t, key, content, dedup, &lat) {
+	if !m.commitPut(now, p, t, key, &lat) {
 		p.counters.putRejects.Add(1)
 		return false, lat
 	}
 	return true, lat
 }
 
-// needsPhysical reports whether a put of content into st must allocate a
-// physical copy (true when deduplication is off or no copy exists yet).
-func (m *Manager) needsPhysical(st cgroup.StoreType, content uint64, dedup bool) bool {
-	if !dedup {
-		return true
-	}
-	return m.dedup.peek(contentKey{st, content}) == 0
-}
-
 // commitPut charges the store and indexes the object, reporting whether
 // it was admitted. The device write happens before the index insert: a
 // failed write drops the object — put returns not-stored, which the
-// cleancache contract makes safe — leaving index, dedup table and usage
-// accounting exactly as they were. Callers hold the pool's VM lock.
+// cleancache contract makes safe — leaving index and usage accounting
+// exactly as they were. Callers hold the pool's VM lock.
 //
 // ddlint:requires-lock mu
-func (m *Manager) commitPut(now time.Duration, p *poolState, t *tier, key cleancache.Key, content uint64, dedup bool, lat *time.Duration) bool {
+func (m *Manager) commitPut(now time.Duration, p *poolState, t *tier, key cleancache.Key, lat *time.Duration) bool {
 	seq := m.nextSeq.Add(1) // taken before the write: a failed put still consumes one
-	// Shared copy: only the in-band comparison cost is paid, and no device
-	// write can fail.
-	if !dedup || !m.dedup.acquire(contentKey{t.kind, content}, ObjectSize) {
-		slat, err := t.be.Store(now+*lat, ObjectSize)
-		*lat += slat
-		t.breaker.feed(now+*lat, err)
-		if err != nil {
-			if dedup {
-				// Undo the reference taken above: the copy was never written.
-				m.dedup.undo(contentKey{t.kind, content})
-			}
-			return false
-		}
+	slat, err := t.be.Store(now+*lat, ObjectSize)
+	*lat += slat
+	t.breaker.feed(now+*lat, err)
+	if err != nil {
+		return false
 	}
 	obj := p.idx.NewObject()
 	obj.Inode, obj.Block, obj.Size, obj.Store, obj.Seq = key.Inode, key.Block, ObjectSize, t.kind, seq
-	if dedup {
-		obj.Content = content
-	}
 	if replaced := p.idx.Insert(obj); replaced != nil {
 		m.releaseObject(p, replaced)
 	}
@@ -784,17 +742,17 @@ func (m *Manager) commitPut(now time.Duration, p *poolState, t *tier, key cleanc
 
 // releaseObject is where an object dies: the caller has taken obj out of
 // p's index (or Insert displaced it), and releaseObject drops its
-// physical storage — honouring shared deduplicated copies — and hands
-// the struct back to p for reuse. A Pending object holds no backend
-// storage — its bytes sit in the write-behind buffer — so releasing it
-// just cancels the queued demotion; the drain skips the settled entry
-// and, because the ring slot still points at the struct, is also what
-// recycles it (see index.Object.Queued). This is the cancellation point
-// every invalidation path (flush, exclusive get, destroy, replace,
-// eviction) funnels through, which is what makes a demoted-then-staled
-// block unable to resurrect: by the time the drain reaches the entry,
-// Pending is false and nothing is written. obj's fields stay readable
-// until the caller's next put. Callers hold the owning VM's lock.
+// physical storage and hands the struct back to p for reuse. A Pending
+// object holds no backend storage — its bytes sit in the write-behind
+// buffer — so releasing it just cancels the queued demotion; the drain
+// skips the settled entry and, because the ring slot still points at
+// the struct, is also what recycles it (see index.Object.Queued). This
+// is the cancellation point every invalidation path (flush, exclusive
+// get, destroy, replace, eviction) funnels through, which is what makes
+// a demoted-then-staled block unable to resurrect: by the time the drain
+// reaches the entry, Pending is false and nothing is written. Callers
+// hold the owning VM's lock and do not read obj afterwards: it may
+// already be back on p's free list.
 //
 // ddlint:requires-lock mu
 func (m *Manager) releaseObject(p *poolState, obj *index.Object) {
@@ -807,17 +765,11 @@ func (m *Manager) releaseObject(p *poolState, obj *index.Object) {
 	p.idx.Recycle(obj)
 }
 
-// releaseStorage frees the backend bytes of a non-Pending object, unless
-// other logical references still share its deduplicated copy.
+// releaseStorage frees the backend bytes of a non-Pending object.
 func (m *Manager) releaseStorage(obj *index.Object) {
-	be := m.tier(obj.Store).be
-	if be == nil {
-		return
+	if be := m.tier(obj.Store).be; be != nil {
+		be.Release(obj.Size)
 	}
-	if obj.Content != 0 && !m.dedup.release(contentKey{obj.Store, obj.Content}) {
-		return
-	}
-	be.Release(obj.Size)
 }
 
 // placementStore resolves the tier a pool's next object goes to: its
@@ -1017,9 +969,8 @@ func (m *Manager) enforceCapacity(now time.Duration, st cgroup.StoreType, incomi
 // bytes are freed immediately, the object is re-homed to the target tier
 // as Pending, and the actual device write happens at the next drain.
 // Objects fall back to a plain drop when the queue is at its dirtiness
-// bound, when their own demotion is still in flight (no chained
-// re-demotion), or when they hold a deduplicated copy (content refs are
-// keyed by store and do not transfer across tiers).
+// bound or when their own demotion is still in flight (no chained
+// re-demotion).
 func (m *Manager) evictBatch(st cgroup.StoreType, batch int64) int64 {
 	ep := m.epoch.Load()
 	if m.cfg.Mode == ModeGlobal {
@@ -1048,7 +999,9 @@ func (m *Manager) evictBatch(st cgroup.StoreType, batch int64) int64 {
 			break
 		}
 		p.idx.Remove(obj)
-		if target != 0 && !obj.Pending && obj.Content == 0 && m.demote.tryEnqueue(p, obj) {
+		// Read before the drop arm: releaseObject recycles obj.
+		size := obj.Size
+		if target != 0 && !obj.Pending && m.demote.tryEnqueue(p, obj) {
 			// The queue admitted the object: free the source tier's
 			// bytes and re-home it to the target tier as Pending. The
 			// drain cannot touch the entry yet — it reads Pending under
@@ -1063,7 +1016,7 @@ func (m *Manager) evictBatch(st cgroup.StoreType, batch int64) int64 {
 			p.counters.evictions.Add(1)
 			m.totalEvictions.Add(1)
 		}
-		freed += obj.Size
+		freed += size
 	}
 	return freed
 }
@@ -1130,8 +1083,8 @@ func (m *Manager) evictGlobalFIFO(ep *epoch, st cgroup.StoreType, batch int64) i
 			break
 		}
 		p.idx.Remove(obj)
-		m.releaseObject(p, obj)
 		freed += obj.Size
+		m.releaseObject(p, obj)
 		p.counters.evictions.Add(1)
 		m.totalEvictions.Add(1)
 		v.mu.Unlock()
@@ -1300,12 +1253,3 @@ func (m *Manager) ShedOps() int64 { return m.shedOps.Load() }
 // InflightOps reports the data-path operations currently inside Dispatch;
 // it must drain to zero at quiesce.
 func (m *Manager) InflightOps() int64 { return m.inflightOps.Load() }
-
-// DedupSavedBytes reports the cumulative physical bytes avoided by
-// content deduplication (0 unless Config.Dedup).
-func (m *Manager) DedupSavedBytes() int64 { return m.dedup.savedBytes() }
-
-// DedupMinRef reports the smallest live dedup reference count (and
-// whether any exists) — an invariant hook for the differential tests:
-// counts must stay strictly positive.
-func (m *Manager) DedupMinRef() (int64, bool) { return m.dedup.minRef() }

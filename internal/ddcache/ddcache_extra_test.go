@@ -32,7 +32,7 @@ func TestGlobalFIFOAcrossVMs(t *testing.T) {
 	p2, _ := m.CreatePool(0, 2, "vm2c", cgroup.HCacheSpec{Store: cgroup.StoreMem, Weight: 100})
 	fillPool(t, m, p1, 1, 512) // VM1's objects are oldest
 	for i := 0; i < 768; i++ {
-		m.Put(0, 2, key(p2, 1, int64(i)), 0)
+		m.Put(0, 2, key(p2, 1, int64(i)))
 	}
 	if s := m.PoolStats(1, p1); s.Evictions == 0 {
 		t.Fatal("global FIFO should evict the oldest VM's objects")
@@ -61,7 +61,7 @@ func TestContainsIsNonMutating(t *testing.T) {
 	if m.Contains(k) {
 		t.Fatal("empty cache contains key")
 	}
-	m.Put(0, 1, k, 0)
+	m.Put(0, 1, k)
 	if !m.Contains(k) {
 		t.Fatal("stored key not found")
 	}
@@ -80,8 +80,8 @@ func TestFlushPageReleasesExactly(t *testing.T) {
 	m := newMgr(ModeDD, 4*mib, 0)
 	m.RegisterVM(1, 100)
 	p, _ := m.CreatePool(0, 1, "c", cgroup.HCacheSpec{Store: cgroup.StoreMem, Weight: 100})
-	m.Put(0, 1, key(p, 1, 0), 0)
-	m.Put(0, 1, key(p, 1, 1), 0)
+	m.Put(0, 1, key(p, 1, 0))
+	m.Put(0, 1, key(p, 1, 1))
 	m.FlushPage(0, 1, key(p, 1, 0))
 	if got := m.PoolUsedBytes(p, cgroup.StoreMem); got != ObjectSize {
 		t.Fatalf("used = %d after flushing one of two", got)
@@ -107,7 +107,7 @@ func TestOperationsOnUnknownPool(t *testing.T) {
 	m := newMgr(ModeDD, 4*mib, 0)
 	m.RegisterVM(1, 100)
 	ghost := cleancache.PoolID(999)
-	if ok, _ := m.Put(0, 1, key(ghost, 1, 0), 0); ok {
+	if ok, _ := m.Put(0, 1, key(ghost, 1, 0)); ok {
 		t.Fatal("put to unknown pool accepted")
 	}
 	if hit, _ := m.Get(0, 1, key(ghost, 1, 0)); hit {
@@ -127,7 +127,7 @@ func TestMigrateToUnknownPoolIsNoop(t *testing.T) {
 	m := newMgr(ModeDD, 4*mib, 0)
 	m.RegisterVM(1, 100)
 	p, _ := m.CreatePool(0, 1, "c", cgroup.HCacheSpec{Store: cgroup.StoreMem, Weight: 100})
-	m.Put(0, 1, key(p, 5, 0), 0)
+	m.Put(0, 1, key(p, 5, 0))
 	m.MigrateInode(0, 1, p, cleancache.PoolID(999), 5)
 	if !m.Contains(key(p, 5, 0)) {
 		t.Fatal("migrate to unknown pool lost the object")

@@ -32,7 +32,7 @@ func fillPool(t *testing.T, m *Manager, p cleancache.PoolID, base uint64, n int)
 	t.Helper()
 	stored := 0
 	for i := 0; i < n; i++ {
-		ok, _ := m.Put(0, 1, key(p, base, int64(i)), 0)
+		ok, _ := m.Put(0, 1, key(p, base, int64(i)))
 		if ok {
 			stored++
 		}
@@ -44,7 +44,7 @@ func TestPutGetExclusive(t *testing.T) {
 	m := newMgr(ModeDD, 16*mib, 0)
 	m.RegisterVM(1, 100)
 	p, _ := m.CreatePool(0, 1, "c1", cgroup.HCacheSpec{Store: cgroup.StoreMem, Weight: 100})
-	if ok, _ := m.Put(0, 1, key(p, 1, 0), 0); !ok {
+	if ok, _ := m.Put(0, 1, key(p, 1, 0)); !ok {
 		t.Fatal("put rejected")
 	}
 	hit, lat := m.Get(0, 1, key(p, 1, 0))
@@ -56,6 +56,27 @@ func TestPutGetExclusive(t *testing.T) {
 	}
 	if m.PoolTotalBytes(p) != 0 {
 		t.Fatal("bytes left after exclusive get")
+	}
+}
+
+func TestInclusiveModeKeepsObjectOnGet(t *testing.T) {
+	m := NewManager(Config{
+		Mode:      ModeDD,
+		Mem:       store.NewMem(blockdev.NewRAM("r"), 16*mib),
+		Inclusive: true,
+	})
+	m.RegisterVM(1, 100)
+	p, _ := m.CreatePool(0, 1, "c", cgroup.HCacheSpec{Store: cgroup.StoreMem, Weight: 100})
+	m.Put(0, 1, key(p, 1, 0))
+	if hit, _ := m.Get(0, 1, key(p, 1, 0)); !hit {
+		t.Fatal("get missed")
+	}
+	// Inclusive: the copy survives the get.
+	if hit, _ := m.Get(0, 1, key(p, 1, 0)); !hit {
+		t.Fatal("inclusive cache dropped the object on get")
+	}
+	if got := m.StoreUsedBytes(cgroup.StoreMem); got != ObjectSize {
+		t.Fatalf("used = %d", got)
 	}
 }
 
@@ -155,7 +176,7 @@ func TestGlobalModePlacementForcesMemory(t *testing.T) {
 	m := newMgr(ModeGlobal, 4*mib, 64*mib)
 	m.RegisterVM(1, 100)
 	p, _ := m.CreatePool(0, 1, "c", cgroup.HCacheSpec{Store: cgroup.StoreSSD, Weight: 100})
-	m.Put(0, 1, key(p, 1, 0), 0)
+	m.Put(0, 1, key(p, 1, 0))
 	if m.PoolUsedBytes(p, cgroup.StoreMem) != ObjectSize {
 		t.Fatal("global baseline should place objects in memory")
 	}
@@ -185,10 +206,10 @@ func TestVMLevelPartitioning(t *testing.T) {
 	// VM1 fills the whole store; then VM2 claims. VM1 is over its ~1 MiB
 	// entitlement and must be the eviction victim.
 	for i := 0; i < 768; i++ {
-		m.Put(0, 1, key(p1, 1, int64(i)), 0)
+		m.Put(0, 1, key(p1, 1, int64(i)))
 	}
 	for i := 0; i < 400; i++ {
-		m.Put(0, 2, key(p2, 1, int64(i)), 0)
+		m.Put(0, 2, key(p2, 1, int64(i)))
 	}
 	s1 := m.PoolStats(1, p1)
 	s2 := m.PoolStats(2, p2)
@@ -207,7 +228,7 @@ func TestSSDPoolPlacement(t *testing.T) {
 	m := newMgr(ModeDD, 4*mib, 64*mib)
 	m.RegisterVM(1, 100)
 	p, _ := m.CreatePool(0, 1, "video", cgroup.HCacheSpec{Store: cgroup.StoreSSD, Weight: 100})
-	m.Put(0, 1, key(p, 1, 0), 0)
+	m.Put(0, 1, key(p, 1, 0))
 	if m.PoolUsedBytes(p, cgroup.StoreSSD) != ObjectSize {
 		t.Fatal("object not placed on SSD")
 	}
@@ -243,7 +264,7 @@ func TestSetSpecStoreChangeFlushesStranded(t *testing.T) {
 	if m.StoreUsedBytes(cgroup.StoreMem) != 0 {
 		t.Fatal("mem store accounting leaked")
 	}
-	m.Put(0, 1, key(p, 2, 0), 0)
+	m.Put(0, 1, key(p, 2, 0))
 	if m.PoolUsedBytes(p, cgroup.StoreSSD) != ObjectSize {
 		t.Fatal("new puts should land on SSD")
 	}
@@ -258,7 +279,7 @@ func TestDestroyPoolReleases(t *testing.T) {
 	if m.StoreUsedBytes(cgroup.StoreMem) != 0 {
 		t.Fatal("destroy did not release store bytes")
 	}
-	if ok, _ := m.Put(0, 1, key(p, 1, 0), 0); ok {
+	if ok, _ := m.Put(0, 1, key(p, 1, 0)); ok {
 		t.Fatal("put into destroyed pool succeeded")
 	}
 }
@@ -279,8 +300,8 @@ func TestMigrateInode(t *testing.T) {
 	m.RegisterVM(1, 100)
 	pa, _ := m.CreatePool(0, 1, "a", cgroup.HCacheSpec{Store: cgroup.StoreMem, Weight: 50})
 	pb, _ := m.CreatePool(0, 1, "b", cgroup.HCacheSpec{Store: cgroup.StoreMem, Weight: 50})
-	m.Put(0, 1, key(pa, 9, 0), 0)
-	m.Put(0, 1, key(pa, 9, 1), 0)
+	m.Put(0, 1, key(pa, 9, 0))
+	m.Put(0, 1, key(pa, 9, 1))
 	m.MigrateInode(0, 1, pa, pb, 9)
 	if m.PoolUsedBytes(pa, cgroup.StoreMem) != 0 {
 		t.Fatal("source pool retained bytes")
@@ -305,7 +326,7 @@ func TestPoolStatsCounters(t *testing.T) {
 	m := newMgr(ModeDD, 4*mib, 0)
 	m.RegisterVM(1, 100)
 	p, _ := m.CreatePool(0, 1, "c", cgroup.HCacheSpec{Store: cgroup.StoreMem, Weight: 100})
-	m.Put(0, 1, key(p, 1, 0), 0)
+	m.Put(0, 1, key(p, 1, 0))
 	m.Get(0, 1, key(p, 1, 0)) // hit
 	m.Get(0, 1, key(p, 1, 1)) // miss
 	s := m.PoolStats(1, p)
@@ -321,7 +342,7 @@ func TestPutWithoutBackendRejected(t *testing.T) {
 	m := newMgr(ModeDD, 4*mib, 0) // no SSD store
 	m.RegisterVM(1, 100)
 	p, _ := m.CreatePool(0, 1, "c", cgroup.HCacheSpec{Store: cgroup.StoreSSD, Weight: 100})
-	if ok, _ := m.Put(0, 1, key(p, 1, 0), 0); ok {
+	if ok, _ := m.Put(0, 1, key(p, 1, 0)); ok {
 		t.Fatal("put to missing backend should be rejected")
 	}
 	if s := m.PoolStats(1, p); s.PutRejects != 1 {
@@ -332,7 +353,7 @@ func TestPutWithoutBackendRejected(t *testing.T) {
 func TestAutoRegisterUnknownVM(t *testing.T) {
 	m := newMgr(ModeDD, 4*mib, 0)
 	p, _ := m.CreatePool(0, 7, "c", cgroup.HCacheSpec{Store: cgroup.StoreMem, Weight: 100})
-	if ok, _ := m.Put(0, 7, key(p, 1, 0), 0); !ok {
+	if ok, _ := m.Put(0, 7, key(p, 1, 0)); !ok {
 		t.Fatal("auto-registered VM cannot use cache")
 	}
 }
@@ -364,7 +385,7 @@ func TestPropertyAccountingInvariant(t *testing.T) {
 			k := key(p, uint64(op.Inode), int64(op.Block))
 			switch op.Op % 4 {
 			case 0, 1:
-				m.Put(0, 1, k, 0)
+				m.Put(0, 1, k)
 			case 2:
 				m.Get(0, 1, k)
 			case 3:
@@ -393,7 +414,7 @@ func TestReadAheadCountsSeparateFromGets(t *testing.T) {
 	m.RegisterVM(1, 100)
 	p, _ := m.CreatePool(0, 1, "c1", cgroup.HCacheSpec{Store: cgroup.StoreMem, Weight: 100})
 	for b := int64(0); b < 4; b++ {
-		if ok, _ := m.Put(0, 1, key(p, 1, b), 0); !ok {
+		if ok, _ := m.Put(0, 1, key(p, 1, b)); !ok {
 			t.Fatalf("put %d rejected", b)
 		}
 	}

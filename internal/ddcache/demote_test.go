@@ -90,7 +90,7 @@ func TestWriteBehindProperty(t *testing.T) {
 				var lat time.Duration
 				switch r := rng.Intn(100); {
 				case r < 60:
-					_, lat = m.Put(now, vm, key, 0)
+					_, lat = m.Put(now, vm, key)
 				case r < 85:
 					_, lat = m.Get(now, vm, key)
 				case r < 95:
@@ -143,7 +143,7 @@ func TestWriteBehindNoStaleServe(t *testing.T) {
 	pool, _ := m.CreatePool(0, vm, "stale", cgroup.HCacheSpec{Store: cgroup.StoreSSD, Weight: 100})
 	now := time.Duration(0)
 	for b := int64(0); b < n; b++ {
-		_, lat := m.Put(now, vm, cleancache.Key{Pool: pool, Inode: 1, Block: b}, 0)
+		_, lat := m.Put(now, vm, cleancache.Key{Pool: pool, Inode: 1, Block: b})
 		now += lat + time.Microsecond
 	}
 	if ds := m.DemotionStats(); ds.DirtyObjects == 0 {
@@ -182,7 +182,7 @@ func TestWriteBehindConservation(t *testing.T) {
 	now := time.Duration(0)
 	var admitted int64
 	for b := int64(0); b < 2048; b++ { // 8 MiB ≫ mem+SSD+remote
-		ok, lat := m.Put(now, vm, cleancache.Key{Pool: pool, Inode: 1, Block: b}, 0)
+		ok, lat := m.Put(now, vm, cleancache.Key{Pool: pool, Inode: 1, Block: b})
 		if ok {
 			admitted++
 		}
@@ -243,7 +243,7 @@ func TestEvictTokenPerTier(t *testing.T) {
 	pool, _ := rm.CreatePool(0, vm, "r", cgroup.HCacheSpec{Store: cgroup.StoreRemote, Weight: 100})
 	now := time.Duration(0)
 	for b := int64(0); b < 64; b++ { // 256 KiB into a 64 KiB tier
-		_, lat := rm.Put(now, vm, cleancache.Key{Pool: pool, Inode: 1, Block: b}, 0)
+		_, lat := rm.Put(now, vm, cleancache.Key{Pool: pool, Inode: 1, Block: b})
 		now += lat + time.Microsecond
 	}
 	if used, cap := rm.StoreUsedBytes(cgroup.StoreRemote), int64(64<<10); used > cap {

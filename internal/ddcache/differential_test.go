@@ -36,7 +36,6 @@ type duo struct {
 	memCap              int64
 	ssdCap              int64
 	remoteCap           int64
-	dedup               bool
 
 	vms     []cleancache.VMID
 	created []cleancache.PoolID // every pool id ever returned
@@ -45,18 +44,18 @@ type duo struct {
 	nops    int
 }
 
-func newDuo(t testing.TB, mode ddcache.Mode, memCap, ssdCap, batch int64, dedup bool) *duo {
-	return newTieredDuo(t, mode, memCap, ssdCap, 0, batch, dedup)
+func newDuo(t testing.TB, mode ddcache.Mode, memCap, ssdCap, batch int64) *duo {
+	return newTieredDuo(t, mode, memCap, ssdCap, 0, batch)
 }
 
 // newTieredDuo builds a manager/oracle pair over up to three tiers. The
 // remote tier's modeled latencies are a pure function of the call
 // sequence (see store/remote), so the two independent instances stay in
 // lockstep and even slow-hit latencies must compare equal.
-func newTieredDuo(t testing.TB, mode ddcache.Mode, memCap, ssdCap, remoteCap, batch int64, dedup bool) *duo {
-	mcfg := ddcache.Config{Mode: mode, EvictBatchBytes: batch, Dedup: dedup}
-	ocfg := oracle.Config{Mode: oracle.Mode(mode), EvictBatchBytes: batch, Dedup: dedup}
-	d := &duo{t: t, memCap: memCap, ssdCap: ssdCap, remoteCap: remoteCap, dedup: dedup}
+func newTieredDuo(t testing.TB, mode ddcache.Mode, memCap, ssdCap, remoteCap, batch int64) *duo {
+	mcfg := ddcache.Config{Mode: mode, EvictBatchBytes: batch}
+	ocfg := oracle.Config{Mode: oracle.Mode(mode), EvictBatchBytes: batch}
+	d := &duo{t: t, memCap: memCap, ssdCap: ssdCap, remoteCap: remoteCap}
 	if memCap > 0 {
 		mcfg.Mem = store.NewMem(blockdev.NewRAM("m.ram"), memCap)
 		d.oMem = store.NewMem(blockdev.NewRAM("o.ram"), memCap)
@@ -177,11 +176,38 @@ func (d *duo) barrier() {
 	if got, want := d.m.DemotionStats(), ddcache.DemotionStats(d.o.DemotionStats()); got != want {
 		t.Fatalf("op %d: demotion stats:\n  manager %+v\n  oracle  %+v", d.nops, got, want)
 	}
-	if got, want := d.m.DedupSavedBytes(), d.o.DedupSavedBytes(); got != want {
-		t.Fatalf("op %d: dedup saved: manager %d, oracle %d", d.nops, got, want)
+	checkByteConservation(t, d.m, d.live, d.oRemote != nil)
+}
+
+// checkByteConservation requires every byte the manager's stores hold to
+// be charged to exactly one live pool. Without a remote tier the identity
+// holds per tier. With one, a Pending object is charged to its pool under
+// the target tier while its bytes sit in the write-behind buffer, so the
+// identity is over all tiers plus the queue's dirty bytes.
+func checkByteConservation(t testing.TB, m *ddcache.Manager, live []cleancache.PoolID, remote bool) {
+	t.Helper()
+	if remote {
+		var stored, charged int64
+		for _, st := range allTiers {
+			stored += m.StoreUsedBytes(st)
+		}
+		stored += m.DemotionStats().DirtyBytes
+		for _, id := range live {
+			charged += m.PoolTotalBytes(id)
+		}
+		if stored != charged {
+			t.Fatalf("stores + write-behind hold %d bytes, live pools are charged %d", stored, charged)
+		}
+		return
 	}
-	if minRef, any := d.m.DedupMinRef(); any && minRef < 1 {
-		t.Fatalf("op %d: dedup refcount dropped to %d", d.nops, minRef)
+	for _, st := range allTiers {
+		var charged int64
+		for _, id := range live {
+			charged += m.PoolUsedBytes(id, st)
+		}
+		if stored := m.StoreUsedBytes(st); stored != charged {
+			t.Fatalf("store %v holds %d bytes, live pools are charged %d", st, stored, charged)
+		}
 	}
 }
 
@@ -270,12 +296,6 @@ func (d *duo) run(seed int64, ops int) {
 			switch x := rng.Intn(100); {
 			case x < 50:
 				req.Op = cleancache.OpPut
-				if d.dedup && rng.Intn(4) > 0 {
-					// Heavy sharing across pools and VMs; one put in four
-					// stays content-free so the demotion path (which skips
-					// dedup'd objects) is exercised in dedup runs too.
-					req.Content = 1 + uint64(rng.Intn(40))
-				}
 			case x < 78:
 				req.Op = cleancache.OpGet
 			case x < 85:
@@ -306,16 +326,15 @@ func TestDifferentialOracle(t *testing.T) {
 		memCap int64
 		ssdCap int64
 		batch  int64
-		dedup  bool
 		ops    int
 	}{
-		{name: "dd-hybrid-dedup", seed: 1, mode: ddcache.ModeDD, memCap: 2 << 20, ssdCap: 4 << 20, batch: 256 << 10, dedup: true, ops: 50000},
+		{name: "dd-hybrid", seed: 1, mode: ddcache.ModeDD, memCap: 2 << 20, ssdCap: 4 << 20, batch: 256 << 10, ops: 50000},
 		{name: "dd-mem-only", seed: 2, mode: ddcache.ModeDD, memCap: 1 << 20, batch: 64 << 10, ops: 50000},
-		{name: "global-baseline", seed: 3, mode: ddcache.ModeGlobal, memCap: 2 << 20, ssdCap: 2 << 20, batch: 256 << 10, dedup: true, ops: 50000},
+		{name: "global-baseline", seed: 3, mode: ddcache.ModeGlobal, memCap: 2 << 20, ssdCap: 2 << 20, batch: 256 << 10, ops: 50000},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			d := newDuo(t, tc.mode, tc.memCap, tc.ssdCap, tc.batch, tc.dedup)
+			d := newDuo(t, tc.mode, tc.memCap, tc.ssdCap, tc.batch)
 			d.run(tc.seed, tc.ops)
 		})
 	}
@@ -336,16 +355,15 @@ func TestDifferentialOracleThreeTier(t *testing.T) {
 		ssdCap    int64
 		remoteCap int64
 		batch     int64
-		dedup     bool
 		ops       int
 	}{
 		{name: "three-tier-hybrid", seed: 11, memCap: 1 << 20, ssdCap: 2 << 20, remoteCap: 8 << 20, batch: 128 << 10, ops: 50000},
-		{name: "three-tier-dedup", seed: 12, memCap: 1 << 20, ssdCap: 1 << 20, remoteCap: 4 << 20, batch: 64 << 10, dedup: true, ops: 50000},
+		{name: "three-tier-tight", seed: 12, memCap: 1 << 20, ssdCap: 1 << 20, remoteCap: 4 << 20, batch: 64 << 10, ops: 50000},
 		{name: "mem-remote", seed: 13, memCap: 1 << 20, remoteCap: 4 << 20, batch: 64 << 10, ops: 50000},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			d := newTieredDuo(t, ddcache.ModeDD, tc.memCap, tc.ssdCap, tc.remoteCap, tc.batch, tc.dedup)
+			d := newTieredDuo(t, ddcache.ModeDD, tc.memCap, tc.ssdCap, tc.remoteCap, tc.batch)
 			d.run(tc.seed, tc.ops)
 			// Quiesce: both queues must drain identically, to empty.
 			lm := d.m.FlushDemotions(d.now)
@@ -378,13 +396,13 @@ type recordedOp struct {
 // reproduce.
 //
 // The workload is constructed so the per-VM streams commute: each VM
-// touches only its own pools, content identities are partitioned per VM,
-// and capacity is ample (no eviction, no put rejects), so every
-// interleaving of the per-VM logs is equivalent — if the concurrent run
-// was linearizable at all, the round-robin merge is a witness. A verdict
+// touches only its own pools and capacity is ample (no eviction, no put
+// rejects), so every interleaving of the per-VM logs is equivalent — if
+// the concurrent run was linearizable at all, the round-robin merge is a
+// witness. A verdict
 // the oracle cannot reproduce therefore means the concurrent run matches
 // NO sequential interleaving (lost update, resurrected object, leaked
-// dedup reference...), which is exactly what this test exists to catch.
+// bytes...), which is exactly what this test exists to catch.
 func TestDifferentialLinearizable(t *testing.T) {
 	const (
 		vms      = 4
@@ -393,12 +411,11 @@ func TestDifferentialLinearizable(t *testing.T) {
 		memCap   = int64(64 << 20) // ample: the workload never fills it
 	)
 	mgr := ddcache.NewManager(ddcache.Config{
-		Mode:  ddcache.ModeDD,
-		Mem:   store.NewMem(blockdev.NewRAM("m.ram"), memCap),
-		Dedup: true,
+		Mode: ddcache.ModeDD,
+		Mem:  store.NewMem(blockdev.NewRAM("m.ram"), memCap),
 	})
 	oMem := store.NewMem(blockdev.NewRAM("o.ram"), memCap)
-	orc := oracle.New(oracle.Config{Mode: oracle.ModeDD, Mem: oMem, Dedup: true})
+	orc := oracle.New(oracle.Config{Mode: oracle.ModeDD, Mem: oMem})
 
 	// Sequential setup on both: identical pool ids.
 	pools := make([][]cleancache.PoolID, vms)
@@ -434,8 +451,6 @@ func TestDifferentialLinearizable(t *testing.T) {
 				switch r := rng.Intn(100); {
 				case r < 45:
 					req.Op = cleancache.OpPut
-					// Content partitioned per VM: streams commute.
-					req.Content = uint64(v+1)<<32 | uint64(1+rng.Intn(8))
 				case r < 80:
 					req.Op = cleancache.OpGet
 				case r < 90:
@@ -483,8 +498,5 @@ func TestDifferentialLinearizable(t *testing.T) {
 	}
 	if got, want := mgr.StoreUsedBytes(cgroup.StoreMem), oMem.UsedBytes(); got != want {
 		t.Fatalf("final store usage: manager %d, oracle %d", got, want)
-	}
-	if got, want := mgr.DedupSavedBytes(), orc.DedupSavedBytes(); got != want {
-		t.Fatalf("final dedup saved: manager %d, oracle %d", got, want)
 	}
 }

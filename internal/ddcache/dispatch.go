@@ -36,7 +36,7 @@ func (m *Manager) Dispatch(now time.Duration, req cleancache.Request) cleancache
 	case cleancache.OpGet:
 		resp.Ok, resp.Latency = m.Get(now, req.VM, req.Key)
 	case cleancache.OpPut:
-		resp.Ok, resp.Latency = m.Put(now, req.VM, req.Key, req.Content)
+		resp.Ok, resp.Latency = m.Put(now, req.VM, req.Key)
 	case cleancache.OpFlushPage:
 		resp.Latency = m.FlushPage(now, req.VM, req.Key)
 	case cleancache.OpFlushInode:

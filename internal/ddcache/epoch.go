@@ -259,7 +259,7 @@ func (m *Manager) mutateEpoch(mutate func(b *epochBuilder)) *epoch {
 }
 
 // publishEpoch atomically installs ep as the current epoch and records
-// the epoch.* / shard.* observability gauges.
+// the epoch.* observability gauges.
 //
 // ddlint:requires-lock configMu
 func (m *Manager) publishEpoch(ep *epoch) {
@@ -269,8 +269,6 @@ func (m *Manager) publishEpoch(ep *epoch) {
 		reg.Gauge("epoch.seq").Set(int64(ep.seq))
 		reg.Gauge("epoch.vms").Set(int64(len(ep.vms)))
 		reg.Gauge("epoch.pools").Set(int64(len(ep.pools)))
-		reg.Gauge("shard.dedup.shards").Set(int64(len(m.dedup.shards)))
-		reg.Gauge("shard.dedup.entries").Set(m.dedup.entries())
 	}
 }
 

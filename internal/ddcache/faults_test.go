@@ -36,7 +36,7 @@ func TestFailedSSDPutDropsObject(t *testing.T) {
 	pool, _ := m.CreatePool(0, 1, "p", cgroup.HCacheSpec{Store: cgroup.StoreSSD, Weight: 100})
 
 	k := key(pool, 1, 0)
-	ok, _ := m.Put(0, 1, k, 0)
+	ok, _ := m.Put(0, 1, k)
 	if ok {
 		t.Fatal("put reported stored despite SSD write error")
 	}
@@ -60,7 +60,7 @@ func TestFailedSSDGetInvalidatesEntry(t *testing.T) {
 	pool, _ := m.CreatePool(0, 1, "p", cgroup.HCacheSpec{Store: cgroup.StoreSSD, Weight: 100})
 
 	k := key(pool, 1, 0)
-	if ok, _ := m.Put(0, 1, k, 0); !ok {
+	if ok, _ := m.Put(0, 1, k); !ok {
 		t.Fatal("healthy put failed")
 	}
 	if !m.Contains(k) || m.StoreUsedBytes(cgroup.StoreSSD) != ObjectSize {
@@ -96,7 +96,7 @@ func TestBreakerTripsAndFallsBackToMem(t *testing.T) {
 
 	// Threshold failures trip the breaker.
 	for i := int64(0); i < 3; i++ {
-		if ok, _ := m.Put(0, 1, key(pool, 1, i), 0); ok {
+		if ok, _ := m.Put(0, 1, key(pool, 1, i)); ok {
 			t.Fatalf("put %d stored through a failing SSD", i)
 		}
 	}
@@ -105,7 +105,7 @@ func TestBreakerTripsAndFallsBackToMem(t *testing.T) {
 	}
 
 	// While open, SSD placements degrade to the memory store.
-	if ok, _ := m.Put(0, 1, key(pool, 1, 100), 0); !ok {
+	if ok, _ := m.Put(0, 1, key(pool, 1, 100)); !ok {
 		t.Fatal("put rejected instead of falling back to memory")
 	}
 	if n := m.StoreUsedBytes(cgroup.StoreMem); n != ObjectSize {
@@ -116,13 +116,13 @@ func TestBreakerTripsAndFallsBackToMem(t *testing.T) {
 	}
 
 	// Past the fault window and the cooldown: probes succeed and restore.
-	if ok, _ := m.Put(5*time.Second, 1, key(pool, 1, 200), 0); !ok {
+	if ok, _ := m.Put(5*time.Second, 1, key(pool, 1, 200)); !ok {
 		t.Fatal("first probe put failed")
 	}
 	if s := m.SSDBreakerStats(); s.State != "half-open" {
 		t.Fatalf("breaker after first probe: %+v", s)
 	}
-	if ok, _ := m.Put(5*time.Second, 1, key(pool, 1, 201), 0); !ok {
+	if ok, _ := m.Put(5*time.Second, 1, key(pool, 1, 201)); !ok {
 		t.Fatal("second probe put failed")
 	}
 	s := m.SSDBreakerStats()
@@ -152,7 +152,7 @@ func TestBreakerOpenGetMissesWithoutInvalidate(t *testing.T) {
 
 	k1, k2 := key(pool, 1, 0), key(pool, 1, 1)
 	for _, k := range []cleancache.Key{k1, k2} {
-		if ok, _ := m.Put(0, 1, k, 0); !ok {
+		if ok, _ := m.Put(0, 1, k); !ok {
 			t.Fatal("healthy put failed")
 		}
 	}
@@ -191,10 +191,10 @@ func TestTeardownUnderFaults(t *testing.T) {
 
 	// Fill both pools while the device is healthy (faults start at 1s).
 	for i := int64(0); i < 64; i++ {
-		if ok, _ := m.Put(0, 1, key(mp, 1, i), 0); !ok {
+		if ok, _ := m.Put(0, 1, key(mp, 1, i)); !ok {
 			t.Fatal("mem put failed")
 		}
-		if ok, _ := m.Put(0, 1, key(sp, 1, i), 0); !ok {
+		if ok, _ := m.Put(0, 1, key(sp, 1, i)); !ok {
 			t.Fatal("ssd put failed")
 		}
 	}
@@ -202,7 +202,7 @@ func TestTeardownUnderFaults(t *testing.T) {
 		t.Fatal("stores not populated")
 	}
 	// Sanity: the device really is failing now.
-	if ok, _ := m.Put(2*time.Second, 1, key(sp, 2, 0), 0); ok {
+	if ok, _ := m.Put(2*time.Second, 1, key(sp, 2, 0)); ok {
 		t.Fatal("put succeeded during the fault window")
 	}
 

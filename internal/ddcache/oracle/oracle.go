@@ -54,7 +54,6 @@ type Config struct {
 	EvictBatchBytes int64
 	OpOverhead      time.Duration
 	VictimSelector  func(ents []policy.Entity, evictionSize int64) int
-	Dedup           bool
 	Inclusive       bool
 }
 
@@ -90,12 +89,11 @@ type objKey struct {
 }
 
 type obj struct {
-	inode   uint64
-	block   int64
-	size    int64
-	store   cgroup.StoreType
-	seq     uint64
-	content uint64
+	inode uint64
+	block int64
+	size  int64
+	store cgroup.StoreType
+	seq   uint64
 	// pending mirrors index.Object.Pending: a write-behind demotion in
 	// flight, bytes buffered in the demotion queue, charged to no backend.
 	pending bool
@@ -204,18 +202,11 @@ type Oracle struct {
 	nextPool cleancache.PoolID
 	nextSeq  uint64
 
-	refs           map[refKey]int64
-	dedupSaved     int64
 	totalEvictions int64
 
 	// demote is the write-behind demotion queue mirror; nil unless a
 	// remote backend is configured in ModeDD, exactly as in ddcache.
 	demote *demoteQueue
-}
-
-type refKey struct {
-	store   cgroup.StoreType
-	content uint64
 }
 
 var _ cleancache.Backend = (*Oracle)(nil)
@@ -240,7 +231,6 @@ func New(cfg Config) *Oracle {
 		vmByID:   make(map[cleancache.VMID]*vm),
 		pools:    make(map[cleancache.PoolID]*pool),
 		nextPool: 1,
-		refs:     make(map[refKey]int64),
 	}
 	if cfg.Remote != nil && cfg.Mode == ModeDD {
 		o.demote = newDemoteQueue(cfg.Demotion)
@@ -256,7 +246,7 @@ func (o *Oracle) Dispatch(now time.Duration, req cleancache.Request) cleancache.
 	case cleancache.OpGet:
 		resp.Ok, resp.Latency = o.Get(now, req.VM, req.Key)
 	case cleancache.OpPut:
-		resp.Ok, resp.Latency = o.Put(now, req.VM, req.Key, req.Content)
+		resp.Ok, resp.Latency = o.Put(now, req.VM, req.Key)
 	case cleancache.OpFlushPage:
 		resp.Latency = o.FlushPage(now, req.VM, req.Key)
 	case cleancache.OpFlushInode:
@@ -510,17 +500,17 @@ func (o *Oracle) ReadAhead(now time.Duration, _ cleancache.VMID, key cleancache.
 	return n, lat
 }
 
-// Put mirrors PUT: placement, dedup, capacity enforcement, commit, and
-// the batched write-behind drain once dirty bytes reach the threshold.
-func (o *Oracle) Put(now time.Duration, vmid cleancache.VMID, key cleancache.Key, content uint64) (bool, time.Duration) {
-	ok, lat := o.putInner(now, vmid, key, content)
+// Put mirrors PUT: placement, capacity enforcement, commit, and the
+// batched write-behind drain once dirty bytes reach the threshold.
+func (o *Oracle) Put(now time.Duration, vmid cleancache.VMID, key cleancache.Key) (bool, time.Duration) {
+	ok, lat := o.putInner(now, vmid, key)
 	if o.demote.ready() {
 		lat += o.drainDemotions(now + lat)
 	}
 	return ok, lat
 }
 
-func (o *Oracle) putInner(now time.Duration, _ cleancache.VMID, key cleancache.Key, content uint64) (bool, time.Duration) {
+func (o *Oracle) putInner(now time.Duration, _ cleancache.VMID, key cleancache.Key) (bool, time.Duration) {
 	p, ok := o.pools[key.Pool]
 	if !ok {
 		return false, 0
@@ -533,9 +523,7 @@ func (o *Oracle) putInner(now time.Duration, _ cleancache.VMID, key cleancache.K
 		p.stats.PutRejects++
 		return false, lat
 	}
-	dedup := o.cfg.Dedup && content != 0
-	needsPhysical := !dedup || o.refs[refKey{st, content}] == 0
-	if needsPhysical && be.UsedBytes()+ObjectSize > be.CapacityBytes() {
+	if be.UsedBytes()+ObjectSize > be.CapacityBytes() {
 		lat += o.enforceCapacity(now+lat, st, ObjectSize)
 		if be.UsedBytes()+ObjectSize > be.CapacityBytes() {
 			p.stats.PutRejects++
@@ -545,27 +533,9 @@ func (o *Oracle) putInner(now time.Duration, _ cleancache.VMID, key cleancache.K
 	ob := &obj{inode: key.Inode, block: key.Block, size: ObjectSize, store: st}
 	o.nextSeq++
 	ob.seq = o.nextSeq
-	if dedup {
-		ob.content = content
-		rk := refKey{st, content}
-		o.refs[rk]++
-		if o.refs[rk] > 1 {
-			o.dedupSaved += ObjectSize
-			o.insert(p, ob)
-			return true, lat
-		}
-	}
 	slat, err := be.Store(now+lat, ObjectSize)
 	lat += slat
 	if err != nil {
-		if dedup {
-			rk := refKey{st, content}
-			if o.refs[rk] <= 1 {
-				delete(o.refs, rk)
-			} else {
-				o.refs[rk]--
-			}
-		}
 		p.stats.PutRejects++
 		return false, lat
 	}
@@ -735,28 +705,17 @@ func (o *Oracle) drainAll(p *pool) []*obj {
 	return objs
 }
 
-// releaseObject frees ob's physical bytes, honouring shared dedup copies.
-// A pending object holds no backend storage: releasing it cancels the
-// queued demotion instead.
+// releaseObject frees ob's physical bytes. A pending object holds no
+// backend storage: releasing it cancels the queued demotion instead.
 func (o *Oracle) releaseObject(ob *obj) {
 	if ob.pending {
 		ob.pending = false
 		o.demote.cancel(ob.size)
 		return
 	}
-	be := o.backend(ob.store)
-	if be == nil {
-		return
+	if be := o.backend(ob.store); be != nil {
+		be.Release(ob.size)
 	}
-	if ob.content != 0 {
-		rk := refKey{ob.store, ob.content}
-		if o.refs[rk] > 1 {
-			o.refs[rk]--
-			return
-		}
-		delete(o.refs, rk)
-	}
-	be.Release(ob.size)
 }
 
 // --- entitlements and Algorithm 1 -------------------------------------------
@@ -844,7 +803,7 @@ func (o *Oracle) evictBatch(st cgroup.StoreType, batch int64) int64 {
 			break
 		}
 		o.unlink(victim, ob)
-		if target != 0 && !ob.pending && ob.content == 0 && o.demote.tryEnqueue(victim, ob) {
+		if target != 0 && !ob.pending && o.demote.tryEnqueue(victim, ob) {
 			o.releaseObject(ob)
 			ob.store = target
 			ob.pending = true
@@ -1098,22 +1057,4 @@ func (o *Oracle) DemotionStats() DemotionStats {
 // FlushDemotions force-drains the write-behind queue mirror.
 func (o *Oracle) FlushDemotions(now time.Duration) time.Duration {
 	return o.drainDemotions(now)
-}
-
-// DedupSavedBytes reports physical bytes avoided by deduplication.
-func (o *Oracle) DedupSavedBytes() int64 { return o.dedupSaved }
-
-// DedupMinRef reports the smallest live dedup reference count (and
-// whether any exists).
-func (o *Oracle) DedupMinRef() (int64, bool) {
-	var (
-		minv  int64
-		found bool
-	)
-	for _, n := range o.refs {
-		if !found || n < minv {
-			minv, found = n, true
-		}
-	}
-	return minv, found
 }

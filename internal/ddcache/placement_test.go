@@ -98,7 +98,7 @@ func placeOne(t *testing.T, tiers, open string, spec cgroup.StoreType) string {
 		be.fail = true
 		tripper, _ := m.CreatePool(0, 1, "tripper", cgroup.HCacheSpec{Store: st, Weight: 100})
 		for i := int64(0); i < 5; i++ {
-			if ok, _ := m.Put(0, 1, key(tripper, 1, i), 0); ok {
+			if ok, _ := m.Put(0, 1, key(tripper, 1, i)); ok {
 				t.Fatalf("tiers=%q: put %d stored through a failing %v tier", tiers, i, st)
 			}
 		}
@@ -113,7 +113,7 @@ func placeOne(t *testing.T, tiers, open string, spec cgroup.StoreType) string {
 	}
 
 	pool, _ := m.CreatePool(0, 1, "p", cgroup.HCacheSpec{Store: spec, Weight: 100})
-	ok, _ := m.Put(0, 1, key(pool, 1, 0), 0)
+	ok, _ := m.Put(0, 1, key(pool, 1, 0))
 	got := "-"
 	for name, be := range backends {
 		if be.UsedBytes() == 0 {

@@ -110,7 +110,7 @@ func TestSetCapacityChargesEvictionLatency(t *testing.T) {
 	var now time.Duration
 	for i := 0; i < 512; i++ { // 512 × 4 KiB = 2 MiB resident
 		key := cleancache.Key{Pool: id, Inode: uint64(i/64 + 1), Block: int64(i % 64)}
-		ok, lat := m.Put(now, 1, key, 0)
+		ok, lat := m.Put(now, 1, key)
 		if !ok {
 			t.Fatalf("put %d rejected while filling", i)
 		}

@@ -9,8 +9,7 @@ package ddcache_test
 // interleaving: every verdict (get hit/miss, readahead extraction count)
 // must reproduce, and the final cache states must agree exactly.
 //
-// The workload commutes across VMs (own pools, partitioned content,
-// ample capacity), so the round-robin merge is a valid witness: a
+// The workload commutes across VMs (own pools, ample capacity), so the round-robin merge is a valid witness: a
 // verdict the oracle cannot reproduce means the concurrent read path
 // matches NO sequential interleaving — an out-of-order completion that
 // broke per-pool FIFO, a staged block served after invalidation, a
@@ -110,8 +109,7 @@ func TestDifferentialReadPathLinearizable(t *testing.T) {
 			put := func(inode uint64, block int64) {
 				bump(tr.Submit(now, cleancache.Request{
 					Op: cleancache.OpPut, VM: vm,
-					Key:     cleancache.Key{Pool: pool, Inode: inode, Block: block},
-					Content: uint64(v+1)<<32 | uint64(1+rng.Intn(8)),
+					Key: cleancache.Key{Pool: pool, Inode: inode, Block: block},
 				}).Latency)
 			}
 			// Populate every file once.

@@ -50,7 +50,7 @@ func TestCancelledDemotionPinsItsObjectUntilTheDrainPopsTheSlot(t *testing.T) {
 	idx := m.epoch.Load().pools[pool].state.idx
 	put := func(b int64) *index.Object {
 		t.Helper()
-		if ok, _ := m.Put(0, 1, key(b), 0); !ok {
+		if ok, _ := m.Put(0, 1, key(b)); !ok {
 			t.Fatalf("put %d rejected", b)
 		}
 		return idx.Lookup(1, b)
@@ -115,7 +115,7 @@ func TestEvictBatchFreesExactlyTheBatchWhileRecyclingItsVictims(t *testing.T) {
 		m.RegisterVM(1, 100)
 		pool, _ := m.CreatePool(0, 1, "c", cgroup.HCacheSpec{Store: cgroup.StoreMem, Weight: 100})
 		for b := int64(0); b < 64; b++ {
-			m.Put(0, 1, cleancache.Key{Pool: pool, Inode: 1, Block: b}, 0)
+			m.Put(0, 1, cleancache.Key{Pool: pool, Inode: 1, Block: b})
 		}
 		const batch = 8 * ObjectSize
 		before := mem.UsedBytes()

@@ -12,7 +12,7 @@ import (
 )
 
 // StressOptions configures RunStress, the concurrent mixed-workload driver
-// shared by the race tests, the benchmark suite and `ddbench -parallel`.
+// shared by the race tests and `ddbench -parallel`.
 type StressOptions struct {
 	// VMs is the number of guest VMs registered with the manager; each is
 	// driven by its own workers, so VMs is also the sharding width the
@@ -41,9 +41,6 @@ type StressOptions struct {
 	// scales with how much the manager lets guests overlap their I/O
 	// waits rather than with CPU count.
 	PaceLatency bool
-	// Content derives a content identity from each key so that a
-	// deduplicating manager sees cross-VM duplicates.
-	Content bool
 }
 
 func (o *StressOptions) defaults() {
@@ -130,11 +127,7 @@ func RunStress(m *Manager, o StressOptions) StressResult {
 					var lat time.Duration
 					switch r := rng.Intn(100); {
 					case r < 45:
-						var content uint64
-						if o.Content {
-							content = inode<<20 | uint64(block) + 1
-						}
-						ok, l := m.Put(now, vm, key, content)
+						ok, l := m.Put(now, vm, key)
 						lat = l
 						if ok {
 							puts.Add(1)
@@ -168,7 +161,7 @@ func RunStress(m *Manager, o StressOptions) StressResult {
 				for !stop.Load() {
 					id, _ := m.CreatePool(0, vm, "churn", poolSpec(rng.Intn(3), hasSSD))
 					key := cleancache.Key{Pool: id, Inode: 1, Block: rng.Int63n(o.Blocks)}
-					m.Put(0, vm, key, 0)
+					m.Put(0, vm, key)
 					m.DestroyPool(0, vm, id)
 					poolOps.Add(1)
 				}

@@ -75,9 +75,7 @@ func runReadPathTransportMode(async bool, rounds int) rtMode {
 	now := time.Duration(0)
 	for f := uint64(1); f <= rtFiles; f++ {
 		for b := int64(0); b < rtBlocks; b++ {
-			now += tr.Submit(now, cleancache.Request{
-				Op: cleancache.OpPut, VM: vm, Key: key(f, b), Content: 1<<32 | uint64(b+1),
-			}).Latency
+			now += tr.Submit(now, cleancache.Request{Op: cleancache.OpPut, VM: vm, Key: key(f, b)}).Latency
 		}
 	}
 	now += tr.Flush(now)

@@ -23,32 +23,10 @@ type File struct {
 	Inode      FileID
 	Blocks     int64 // length in BlockSize units
 	DiskOffset int64 // byte offset of block 0 on the backing device
-	// template, when set, means this file was created as a copy of
-	// another (VM images, golden files): its blocks carry the template's
-	// content identity, which content-deduplicating cache stores exploit.
-	template *File
 }
 
 // Size returns the file length in bytes.
 func (f *File) Size() int64 { return f.Blocks * BlockSize }
-
-// ContentKey returns a stable identity for the content of a block: copies
-// of a template share the template's keys, everything else is unique per
-// (inode, block). Cache stores use it for deduplication.
-func (f *File) ContentKey(block int64) uint64 {
-	if f.template != nil && block < f.template.Blocks {
-		return f.template.ContentKey(block)
-	}
-	return mixContent(uint64(f.Inode), uint64(block))
-}
-
-// mixContent is SplitMix64 over the (inode, block) pair.
-func mixContent(a, b uint64) uint64 {
-	x := a*0x9e3779b97f4a7c15 + b
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
 
 // BlockOffset returns the disk byte offset of the given file block.
 func (f *File) BlockOffset(block int64) int64 {
@@ -77,14 +55,6 @@ func (a *Allocator) Alloc(blocks int64) *File {
 	f := &File{Inode: a.nextInode, Blocks: blocks, DiskOffset: a.nextByte}
 	a.nextInode++
 	a.nextByte += blocks * BlockSize
-	return f
-}
-
-// AllocCopy creates a file whose content duplicates src (a clone of a
-// golden image): new inode, new extent, shared content identity.
-func (a *Allocator) AllocCopy(src *File) *File {
-	f := a.Alloc(src.Blocks)
-	f.template = src
 	return f
 }
 

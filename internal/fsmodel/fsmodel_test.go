@@ -122,40 +122,3 @@ func TestPropertyFileSetInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestContentKeyStableAndUnique(t *testing.T) {
-	a := NewAllocator()
-	f1 := a.Alloc(8)
-	f2 := a.Alloc(8)
-	if f1.ContentKey(0) != f1.ContentKey(0) {
-		t.Fatal("content key not stable")
-	}
-	if f1.ContentKey(0) == f1.ContentKey(1) {
-		t.Fatal("blocks of one file share content")
-	}
-	if f1.ContentKey(0) == f2.ContentKey(0) {
-		t.Fatal("independent files share content")
-	}
-}
-
-func TestAllocCopySharesContent(t *testing.T) {
-	a := NewAllocator()
-	golden := a.Alloc(8)
-	clone := a.AllocCopy(golden)
-	if clone.Inode == golden.Inode {
-		t.Fatal("clone reused inode")
-	}
-	if clone.DiskOffset == golden.DiskOffset {
-		t.Fatal("clone reused extent")
-	}
-	for b := int64(0); b < 8; b++ {
-		if clone.ContentKey(b) != golden.ContentKey(b) {
-			t.Fatalf("block %d content diverges", b)
-		}
-	}
-	// A clone of a clone still maps to the golden content.
-	grand := a.AllocCopy(clone)
-	if grand.ContentKey(3) != golden.ContentKey(3) {
-		t.Fatal("transitive clone content diverges")
-	}
-}

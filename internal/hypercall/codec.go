@@ -15,15 +15,14 @@ import (
 //	byte 0        op code
 //	varint        vm id
 //	per-op fields:
-//	  GET, FLUSH_PAGE   pool, inode, block
-//	  PUT               pool, inode, block, content
-//	  FLUSH_INODE       pool, inode
-//	  CREATE_CGROUP     name-len, name bytes, spec.store, spec.weight
-//	  DESTROY_CGROUP    pool
-//	  SET_CG_WEIGHT     pool, spec.store, spec.weight
-//	  MIGRATE_OBJECT    pool (source), to-pool, inode
-//	  GET_STATS         pool
-//	  READ_AHEAD        pool, inode, block, count
+//	  GET, PUT, FLUSH_PAGE  pool, inode, block
+//	  FLUSH_INODE           pool, inode
+//	  CREATE_CGROUP         name-len, name bytes, spec.store, spec.weight
+//	  DESTROY_CGROUP        pool
+//	  SET_CG_WEIGHT         pool, spec.store, spec.weight
+//	  MIGRATE_OBJECT        pool (source), to-pool, inode
+//	  GET_STATS             pool
+//	  READ_AHEAD            pool, inode, block, count
 //
 // The page payload of GET/PUT is not part of the frame: in the model the
 // page travels via the per-page copy cost; on a real wire it would ride
@@ -74,15 +73,10 @@ func EncodeRequest(buf []byte, req cleancache.Request) []byte {
 	buf = append(buf, byte(req.Op))
 	buf = appendInt(buf, int64(req.VM))
 	switch req.Op {
-	case cleancache.OpGet, cleancache.OpFlushPage:
+	case cleancache.OpGet, cleancache.OpPut, cleancache.OpFlushPage:
 		buf = appendInt(buf, int64(req.Key.Pool))
 		buf = appendUint(buf, req.Key.Inode)
 		buf = appendInt(buf, req.Key.Block)
-	case cleancache.OpPut:
-		buf = appendInt(buf, int64(req.Key.Pool))
-		buf = appendUint(buf, req.Key.Inode)
-		buf = appendInt(buf, req.Key.Block)
-		buf = appendUint(buf, req.Content)
 	case cleancache.OpFlushInode:
 		buf = appendInt(buf, int64(req.Key.Pool))
 		buf = appendUint(buf, req.Key.Inode)
@@ -169,15 +163,10 @@ func DecodeRequest(b []byte) (cleancache.Request, int, error) {
 	d := &decoder{b: b, off: 1}
 	req := cleancache.Request{Op: op, VM: cleancache.VMID(d.int())}
 	switch op {
-	case cleancache.OpGet, cleancache.OpFlushPage:
+	case cleancache.OpGet, cleancache.OpPut, cleancache.OpFlushPage:
 		req.Key.Pool = cleancache.PoolID(d.int())
 		req.Key.Inode = d.uint()
 		req.Key.Block = d.int()
-	case cleancache.OpPut:
-		req.Key.Pool = cleancache.PoolID(d.int())
-		req.Key.Inode = d.uint()
-		req.Key.Block = d.int()
-		req.Content = d.uint()
 	case cleancache.OpFlushInode:
 		req.Key.Pool = cleancache.PoolID(d.int())
 		req.Key.Inode = d.uint()

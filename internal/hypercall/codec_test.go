@@ -16,7 +16,6 @@ func sampleRequest(op cleancache.OpCode) cleancache.Request {
 		req.Key = cleancache.Key{Pool: 3, Inode: 1 << 40, Block: -12}
 	case cleancache.OpPut:
 		req.Key = cleancache.Key{Pool: 9, Inode: 42, Block: 1 << 33}
-		req.Content = 0xdeadbeefcafe
 	case cleancache.OpFlushInode:
 		req.Key = cleancache.Key{Pool: 5, Inode: 99}
 	case cleancache.OpCreateCgroup:

@@ -99,21 +99,18 @@ func FuzzRoundTrip(f *testing.F) {
 	for _, op := range cleancache.OpCodes() {
 		r := sampleRequest(op)
 		f.Add(byte(op), int64(r.VM), int64(r.Key.Pool), r.Key.Inode,
-			r.Key.Block, r.Content, r.Name, int64(r.Spec.Store),
+			r.Key.Block, r.Name, int64(r.Spec.Store),
 			int64(r.Spec.Weight), int64(r.To))
 	}
 	f.Fuzz(func(t *testing.T, op byte, vm, pool int64, inode uint64,
-		block int64, content uint64, name string, store, weight, to int64) {
+		block int64, name string, store, weight, to int64) {
 		ops := cleancache.OpCodes()
 		req := cleancache.Request{Op: ops[int(op)%len(ops)], VM: cleancache.VMID(vm)}
 		// Populate exactly the fields this op carries on the wire,
 		// mirroring the EncodeRequest field list.
 		switch req.Op {
-		case cleancache.OpGet, cleancache.OpFlushPage:
+		case cleancache.OpGet, cleancache.OpPut, cleancache.OpFlushPage:
 			req.Key = cleancache.Key{Pool: cleancache.PoolID(pool), Inode: inode, Block: block}
-		case cleancache.OpPut:
-			req.Key = cleancache.Key{Pool: cleancache.PoolID(pool), Inode: inode, Block: block}
-			req.Content = content
 		case cleancache.OpFlushInode:
 			req.Key = cleancache.Key{Pool: cleancache.PoolID(pool), Inode: inode}
 		case cleancache.OpCreateCgroup:

@@ -33,9 +33,6 @@ type Object struct {
 	// Seq is the manager-assigned insertion sequence number, used by the
 	// Global baseline to evict in strict cross-pool FIFO order.
 	Seq uint64
-	// Content is the block's content identity when deduplication is
-	// enabled (0 otherwise).
-	Content uint64
 	// Pending marks a write-behind demotion in flight: the object has
 	// been re-homed to Store in the index but its bytes still sit in the
 	// demotion queue's buffer, charged to no backend until the drain

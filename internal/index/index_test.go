@@ -222,7 +222,7 @@ func TestRecycledObjectComesBackZeroed(t *testing.T) {
 	p := NewPool(1, 1, "c1")
 	o := p.NewObject()
 	o.Inode, o.Block, o.Size, o.Store = 10, 5, 4096, cgroup.StoreSSD
-	o.Seq, o.Content, o.Pending = 99, 0xfeed, true
+	o.Seq, o.Pending = 99, true
 	p.Insert(o)
 	p.Recycle(o) // still indexed: must be refused
 	if fresh := p.NewObject(); fresh == o {

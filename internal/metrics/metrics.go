@@ -53,61 +53,6 @@ func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 // Value reports the current gauge value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// stripePad spaces the stripes of a StripedCounter one cache line apart
-// (64-byte lines; 8 bytes are the counter itself).
-type stripe struct {
-	n atomic.Int64
-	_ [56]byte
-}
-
-// StripedCounter is a monotonically increasing event count striped across
-// cache lines, for hot paths where many goroutines increment the same
-// logical counter: a plain atomic counter serializes every increment on
-// one cache line, which shows up as coherence traffic exactly when the
-// surrounding code has been sharded to avoid shared state. Each caller
-// adds to its own stripe (by shard index, worker index, or any stable
-// small integer) and readers sum the stripes.
-//
-// The zero value is NOT ready to use; call NewStripedCounter.
-type StripedCounter struct {
-	stripes []stripe
-}
-
-// NewStripedCounter returns a counter with n stripes (minimum 1).
-func NewStripedCounter(n int) *StripedCounter {
-	if n < 1 {
-		n = 1
-	}
-	return &StripedCounter{stripes: make([]stripe, n)}
-}
-
-// Stripes reports the stripe count.
-func (c *StripedCounter) Stripes() int { return len(c.stripes) }
-
-// Add increments stripe i by delta (negative deltas are ignored, as with
-// Counter). Stripe indexes fold onto the configured width, so callers may
-// pass any non-negative stable integer.
-func (c *StripedCounter) Add(i int, delta int64) {
-	if delta <= 0 {
-		return
-	}
-	c.stripes[i%len(c.stripes)].n.Add(delta)
-}
-
-// Inc increments stripe i by one.
-func (c *StripedCounter) Inc(i int) { c.stripes[i%len(c.stripes)].n.Add(1) }
-
-// Value sums the stripes. The sum is not a snapshot at a single instant
-// (stripes are read one by one), but it is exact at quiescence and never
-// undercounts a stripe that was already summed.
-func (c *StripedCounter) Value() int64 {
-	var t int64
-	for i := range c.stripes {
-		t += c.stripes[i].n.Load()
-	}
-	return t
-}
-
 // Point is one sample of a time series.
 type Point struct {
 	At    time.Duration

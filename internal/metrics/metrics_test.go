@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"math"
-	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -205,47 +204,5 @@ func TestPropertyHistogramMeanExact(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestStripedCounterBasics covers stripe folding, negative-delta
-// rejection and summation.
-func TestStripedCounterBasics(t *testing.T) {
-	c := NewStripedCounter(4)
-	if c.Stripes() != 4 {
-		t.Fatalf("stripes = %d, want 4", c.Stripes())
-	}
-	c.Add(0, 5)
-	c.Add(1, 3)
-	c.Add(5, 2) // folds onto stripe 1
-	c.Inc(7)    // folds onto stripe 3
-	c.Add(2, -9)
-	if got := c.Value(); got != 11 {
-		t.Fatalf("value = %d, want 11", got)
-	}
-	if min := NewStripedCounter(0); min.Stripes() != 1 {
-		t.Fatalf("zero-width counter got %d stripes, want 1", min.Stripes())
-	}
-}
-
-// TestStripedCounterConcurrent hammers every stripe from its own
-// goroutine; run under -race this pins the no-shared-cacheline design as
-// actually data-race-free, and the final sum must be exact.
-func TestStripedCounterConcurrent(t *testing.T) {
-	const workers, per = 8, 10000
-	c := NewStripedCounter(workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				c.Inc(w)
-			}
-		}(w)
-	}
-	wg.Wait()
-	if got := c.Value(); got != workers*per {
-		t.Fatalf("value = %d, want %d", got, workers*per)
 	}
 }

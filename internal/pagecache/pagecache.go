@@ -31,7 +31,6 @@ type page struct {
 	inode   uint64
 	block   int64
 	diskOff int64
-	content uint64 // content identity (for deduplicating cache stores)
 	g       *cgroup.Group
 	touched time.Duration
 
@@ -89,10 +88,6 @@ type Cache struct {
 	// readWindow (≥ 1) is the number of in-flight second-chance probes
 	// Read keeps outstanding across a miss-run (Front.GetAsync handles).
 	readWindow int
-
-	// writeSeq makes written blocks' content unique: a dirtied page no
-	// longer matches any template content.
-	writeSeq uint64
 }
 
 var _ cgroup.FileReclaimer = (*Cache)(nil)
@@ -195,13 +190,13 @@ func (c *Cache) lookup(inode uint64, block int64) *page {
 
 // insert adds a page for g, making room under the cgroup and VM limits
 // first. Returns the reclaim latency incurred.
-func (c *Cache) insert(now time.Duration, g *cgroup.Group, inode uint64, block, diskOff int64, content uint64, dirty bool) (*page, time.Duration) {
+func (c *Cache) insert(now time.Duration, g *cgroup.Group, inode uint64, block, diskOff int64, dirty bool) (*page, time.Duration) {
 	lat := g.EnsureRoom(now, 1)
 	p := c.free.PopFront()
 	if p == nil {
 		p = new(page)
 	}
-	*p = page{inode: inode, block: block, diskOff: diskOff, content: content, g: g, touched: now + lat}
+	*p = page{inode: inode, block: block, diskOff: diskOff, g: g, touched: now + lat}
 	blocks, ok := c.pages[inode]
 	if !ok {
 		if n := len(c.spareBlocks); n > 0 {
@@ -300,7 +295,7 @@ func (c *Cache) readMissRun(base time.Duration, g *cgroup.Group, f *fsmodel.File
 		lat += dl
 		st.DiskReads += runLen
 		for rb := runStart; rb < runStart+runLen; rb++ {
-			_, il := c.insert(base+lat, g, inode, rb, f.BlockOffset(rb), f.ContentKey(rb), false)
+			_, il := c.insert(base+lat, g, inode, rb, f.BlockOffset(rb), false)
 			lat += il + PageHitCost
 		}
 		runLen = 0
@@ -346,7 +341,7 @@ func (c *Cache) readMissRun(base time.Duration, g *cgroup.Group, f *fsmodel.File
 			}
 			flushRun()
 			st.CCHits++
-			_, il := c.insert(base+lat, g, inode, pb, f.BlockOffset(pb), f.ContentKey(pb), false)
+			_, il := c.insert(base+lat, g, inode, pb, f.BlockOffset(pb), false)
 			lat += il + PageHitCost
 		}
 		wb = we
@@ -371,8 +366,6 @@ func (c *Cache) Write(now time.Duration, g *cgroup.Group, f *fsmodel.File, start
 			if !p.dirty() {
 				c.markDirty(p)
 			}
-			c.writeSeq++
-			p.content = ^c.writeSeq // written content is unique
 			lat += PageHitCost
 			st.Hits++
 			continue
@@ -382,8 +375,7 @@ func (c *Cache) Write(now time.Duration, g *cgroup.Group, f *fsmodel.File, start
 		if c.front != nil {
 			lat += c.front.FlushPage(at, g, uint64(f.Inode), b)
 		}
-		c.writeSeq++
-		_, il := c.insert(now+lat, g, uint64(f.Inode), b, f.BlockOffset(b), ^c.writeSeq, true)
+		_, il := c.insert(now+lat, g, uint64(f.Inode), b, f.BlockOffset(b), true)
 		lat += il + PageHitCost
 	}
 	return lat
@@ -609,7 +601,7 @@ func (c *Cache) ReclaimFile(now time.Duration, g *cgroup.Group, want int64) (int
 			c.clean(run)
 		}
 		if c.front != nil {
-			_, pl := c.front.Put(now+lat, g, p.inode, p.block, p.content)
+			_, pl := c.front.Put(now+lat, g, p.inode, p.block)
 			lat += pl
 		}
 		c.drop(p)

@@ -174,7 +174,7 @@ func TestReadMissRunOneLoop(t *testing.T) {
 			wantRuns := [][2]int64{{base, base + 6}}
 			wantCC := int64(0)
 			if tc.front {
-				if ok, _ := r.front.Put(0, g, inode, 3, f.ContentKey(3)); !ok {
+				if ok, _ := r.front.Put(0, g, inode, 3); !ok {
 					t.Fatal("seeding block 3 in the second-chance cache failed")
 				}
 				wantRuns = [][2]int64{{base, base + 3}, {base + 4, base + 6}}
