@@ -7,7 +7,6 @@
 //	ddbench -list
 //	ddbench [-quick] [-seed N] [-stretch F] [-json FILE] <experiment-id>...
 //	ddbench [-quick] all
-//	ddbench -parallel N
 //
 // Each experiment is run, its tables are printed, and every gate the
 // registry puts on it (a metric, an operator, a threshold) is evaluated
@@ -16,10 +15,6 @@
 // -json also writes every result's named virtual-time metrics and gate
 // verdicts to FILE in one schema; the file is byte-identical across runs
 // of the same ids, seed and stretch.
-//
-// -parallel N skips the experiments and drives the concurrent stress
-// workload (4 guest VMs, N goroutines each, mixed traffic with pool
-// churn) against one shared cache manager, reporting host throughput.
 package main
 
 import (
@@ -30,10 +25,7 @@ import (
 	"strings"
 	"time"
 
-	"doubledecker/internal/blockdev"
-	"doubledecker/internal/ddcache"
 	"doubledecker/internal/experiments"
-	"doubledecker/internal/store"
 )
 
 func main() {
@@ -63,7 +55,6 @@ func run(args []string) error {
 	quick := fs.Bool("quick", false, "run shortened smoke versions")
 	seed := fs.Int64("seed", 42, "simulation seed")
 	stretch := fs.Float64("stretch", 0, "override duration stretch factor (0 = default)")
-	parallel := fs.Int("parallel", 0, "run the concurrent stress driver with N workers per VM and exit")
 	jsonPath := fs.String("json", "", "also write the results' metrics and gate verdicts as JSON to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -73,9 +64,6 @@ func run(args []string) error {
 			fmt.Println(id)
 		}
 		return nil
-	}
-	if *parallel > 0 {
-		return runParallel(*parallel, *seed)
 	}
 	ids := fs.Args()
 	if len(ids) == 0 {
@@ -151,28 +139,4 @@ func judge(res *experiments.Result, gates []experiments.Gate) ([]experiments.Ver
 		return verdicts, fmt.Errorf("%s: %s", res.ID, strings.Join(failed, ", "))
 	}
 	return verdicts, nil
-}
-
-// runParallel exercises the concurrent stress driver: 4 guest VMs with n
-// workers each issue mixed Get/Put/Flush/SetSpec traffic while churn
-// goroutines create and destroy pools, all against one shared manager.
-func runParallel(n int, seed int64) error {
-	m := ddcache.NewManager(ddcache.Config{
-		Mode: ddcache.ModeDD,
-		Mem:  store.NewMem(blockdev.NewRAM("ram"), 256<<20),
-		SSD:  store.NewSSD(blockdev.NewSSD("ssd"), 1<<30),
-	})
-	res := ddcache.RunStress(m, ddcache.StressOptions{
-		VMs:          4,
-		WorkersPerVM: n,
-		PoolsPerVM:   3,
-		Ops:          50000,
-		Seed:         seed,
-		PoolChurn:    true,
-	})
-	fmt.Printf("parallel stress: 4 VMs x %d workers, %d ops in %.2fs (%.0f ops/s)\n",
-		n, res.Ops, res.Wall.Seconds(), res.OpsPerSec())
-	fmt.Printf("  puts accepted %d, get hits %d, pool create/destroy cycles %d\n",
-		res.Puts, res.GetHits, res.PoolOps)
-	return nil
 }

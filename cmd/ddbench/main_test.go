@@ -31,11 +31,14 @@ func TestRunNoArgs(t *testing.T) {
 // TestFlagPrecedence pins what the per-benchmark JSON flags got wrong:
 // -json without an id is an error rather than a silent default, -list
 // wins over -json, and an unknown id fails before anything runs or is
-// written.
+// written. -parallel is not a flag: the stress drivers are tests.
 func TestFlagPrecedence(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH.json")
 	if err := run([]string{"-json", path}); err == nil {
 		t.Error("-json with no experiment id accepted")
+	}
+	if err := run([]string{"-parallel", "4", "-json", path, "readpath-transport"}); err == nil {
+		t.Error("-parallel accepted; it is not a flag")
 	}
 	if err := run([]string{"-json", path, "readpath-transport", "bogus"}); err == nil {
 		t.Error("unknown id after a known one accepted")

@@ -3,8 +3,6 @@ package ddcache
 import (
 	"sync"
 	"time"
-
-	"doubledecker/internal/metrics"
 )
 
 // BreakerConfig parameterizes the SSD circuit breaker. The zero value
@@ -83,9 +81,7 @@ type BreakerStats struct {
 // All state transitions run under mu; the breaker is safe for concurrent
 // use from the manager's data paths.
 type breaker struct {
-	cfg  BreakerConfig
-	reg  *metrics.Registry
-	name string // metric prefix, e.g. "breaker.ssd"
+	cfg BreakerConfig
 
 	mu    sync.Mutex
 	state breakerState // ddlint:guarded-by mu
@@ -99,10 +95,10 @@ type breaker struct {
 	restores int64 // ddlint:guarded-by mu
 }
 
-// newBreaker returns a closed breaker. reg may be nil (no events exported).
-func newBreaker(cfg BreakerConfig, reg *metrics.Registry, name string) *breaker {
+// newBreaker returns a closed breaker.
+func newBreaker(cfg BreakerConfig) *breaker {
 	cfg.defaults()
-	return &breaker{cfg: cfg, reg: reg, name: name}
+	return &breaker{cfg: cfg}
 }
 
 // allow reports whether an operation may reach the device at virtual time
@@ -122,15 +118,12 @@ func (b *breaker) allow(now time.Duration) bool {
 		if now >= b.openedAt+b.cfg.Cooldown {
 			b.state = breakerHalfOpen
 			b.streak = 0
-			b.setStateGauge()
 			b.probes++
-			b.event(".probe")
 			return true
 		}
 		return false
 	default: // breakerHalfOpen
 		b.probes++
-		b.event(".probe")
 		return true
 	}
 }
@@ -151,8 +144,6 @@ func (b *breaker) onSuccess() {
 		b.state = breakerClosed
 		b.errAt = b.errAt[:0]
 		b.restores++
-		b.setStateGauge()
-		b.event(".restore")
 	}
 }
 
@@ -202,8 +193,6 @@ func (b *breaker) tripLocked(now time.Duration) {
 	b.streak = 0
 	b.errAt = b.errAt[:0]
 	b.trips++
-	b.setStateGauge()
-	b.event(".trip")
 }
 
 // snapshot returns the breaker's counters. Nil-safe (zero stats, state
@@ -220,26 +209,4 @@ func (b *breaker) snapshot() BreakerStats {
 		Probes:   b.probes,
 		Restores: b.restores,
 	}
-}
-
-// event increments the named breaker event counter. Requires b.mu (called
-// from transition paths).
-//
-// ddlint:requires-lock mu
-func (b *breaker) event(suffix string) {
-	if b.reg == nil {
-		return
-	}
-	b.reg.Counter(b.name + suffix).Inc()
-}
-
-// setStateGauge exports the current state (0 closed, 1 open, 2 half-open).
-// Requires b.mu.
-//
-// ddlint:requires-lock mu
-func (b *breaker) setStateGauge() {
-	if b.reg == nil {
-		return
-	}
-	b.reg.Gauge(b.name + ".state").Set(int64(b.state))
 }

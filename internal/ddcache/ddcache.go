@@ -93,7 +93,6 @@ import (
 	"doubledecker/internal/cgroup"
 	"doubledecker/internal/cleancache"
 	"doubledecker/internal/index"
-	"doubledecker/internal/metrics"
 	"doubledecker/internal/policy"
 	"doubledecker/internal/store"
 )
@@ -154,19 +153,14 @@ type Config struct {
 	// duplicate copies — the wasteful design the paper's §2 argues
 	// against. For the ablation benchmark only.
 	Inclusive bool
-	// Metrics receives the SSD circuit breaker's trip/probe/restore
-	// events, the epoch.* gauges, and the breaker state gauge;
-	// nil disables recording.
-	Metrics *metrics.Registry
 	// Breaker tunes the SSD circuit breaker; the zero value selects the
 	// defaults documented on BreakerConfig. The breaker exists whenever
-	// an SSD store is configured.
+	// an SSD store is configured. The remote tier has a breaker of its
+	// own whenever a Remote backend is configured, always at those
+	// defaults: while open, remote placements fall back to SSD-or-miss,
+	// remote-resident gets miss without invalidating, and queued
+	// demotions are dropped.
 	Breaker BreakerConfig
-	// RemoteBreaker tunes the remote tier's circuit breaker, which
-	// exists whenever a Remote backend is configured: while open, remote
-	// placements fall back to SSD-or-miss, remote-resident gets miss
-	// without invalidating, and queued demotions are dropped.
-	RemoteBreaker BreakerConfig
 	// MaxInflightOps is the hypervisor-wide admission budget: the number
 	// of data-path operations (gets, puts, readahead) allowed through
 	// Dispatch concurrently across every VM. Submissions over the budget
@@ -314,22 +308,21 @@ func NewManager(cfg Config) *Manager {
 		nextPool: 1,
 	}
 	m.epoch.Store(emptyEpoch())
-	// The tier table: the one place a tier's backend, breaker tuning and
-	// metric prefix are named. Memory has no breaker.
+	// The tier table: the one place a tier's backend and breaker tuning
+	// are named. Memory has no breaker.
 	for _, row := range []struct {
 		kind    cgroup.StoreType
 		be      store.Backend
 		breaker *BreakerConfig
-		metric  string
 	}{
-		{cgroup.StoreMem, cfg.Mem, nil, ""},
-		{cgroup.StoreSSD, cfg.SSD, &cfg.Breaker, "breaker.ssd"},
-		{cgroup.StoreRemote, cfg.Remote, &cfg.RemoteBreaker, "breaker.remote"},
+		{cgroup.StoreMem, cfg.Mem, nil},
+		{cgroup.StoreSSD, cfg.SSD, &cfg.Breaker},
+		{cgroup.StoreRemote, cfg.Remote, &BreakerConfig{}},
 	} {
 		t := m.tier(row.kind)
 		t.kind, t.be = row.kind, row.be
 		if row.be != nil && row.breaker != nil {
-			t.breaker = newBreaker(*row.breaker, cfg.Metrics, row.metric)
+			t.breaker = newBreaker(*row.breaker)
 		}
 	}
 	if cfg.Remote != nil && cfg.Mode == ModeDD {

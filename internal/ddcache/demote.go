@@ -14,9 +14,10 @@
 // The queue is a fixed-capacity ring, the same idiom as the hypercall
 // transport's rings: entries are appended at tail, drained from head,
 // and a full ring refuses admission (the eviction falls back to a plain
-// drop). Dirtiness is doubly bounded — MaxDirtyBytes and MaxDirtyObjects
-// — and the bound is enforced at admission, so dirty bytes can never
-// exceed the configured ceiling at any interleaving.
+// drop). Dirtiness is doubly bounded — MaxDirtyBytes and one ring slot
+// per ObjectSize of it — and the bound is enforced at admission, so
+// dirty bytes can never exceed the configured ceiling at any
+// interleaving.
 //
 // Lock discipline: demoteQueue.mu is a leaf (level 4) guarding only the
 // ring arithmetic; it is taken under VM locks on the enqueue path and
@@ -35,11 +36,10 @@ import (
 // DemotionConfig bounds the write-behind demotion queue.
 type DemotionConfig struct {
 	// MaxDirtyBytes caps the bytes buffered awaiting write-behind
-	// (default 8 MiB). Evictions that would exceed it drop instead.
+	// (default 8 MiB). Evictions that would exceed it drop instead. The
+	// queued object count is capped at MaxDirtyBytes/ObjectSize (at
+	// least 1).
 	MaxDirtyBytes int64
-	// MaxDirtyObjects caps the queued object count (default
-	// MaxDirtyBytes/ObjectSize).
-	MaxDirtyObjects int64
 	// BatchBytes is the dirty-byte threshold at which the next put
 	// drains the queue (default 2 MiB, the eviction batch size).
 	BatchBytes int64
@@ -48,12 +48,6 @@ type DemotionConfig struct {
 func (c *DemotionConfig) defaults() {
 	if c.MaxDirtyBytes <= 0 {
 		c.MaxDirtyBytes = 8 << 20
-	}
-	if c.MaxDirtyObjects <= 0 {
-		c.MaxDirtyObjects = c.MaxDirtyBytes / ObjectSize
-		if c.MaxDirtyObjects <= 0 {
-			c.MaxDirtyObjects = 1
-		}
 	}
 	if c.BatchBytes <= 0 {
 		c.BatchBytes = DefaultEvictBatch
@@ -116,7 +110,7 @@ func newDemoteQueue(cfg DemotionConfig) *demoteQueue {
 	cfg.defaults()
 	return &demoteQueue{
 		cfg:  cfg,
-		ring: make([]demoteEntry, cfg.MaxDirtyObjects),
+		ring: make([]demoteEntry, max(cfg.MaxDirtyBytes/ObjectSize, 1)),
 	}
 }
 
@@ -129,7 +123,7 @@ func (q *demoteQueue) tryEnqueue(p *poolState, obj *index.Object) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.n == len(q.ring) ||
-		q.dirtyObjects.Load() >= q.cfg.MaxDirtyObjects ||
+		q.dirtyObjects.Load() >= int64(len(q.ring)) ||
 		q.dirtyBytes.Load()+obj.Size > q.cfg.MaxDirtyBytes {
 		return false
 	}

@@ -43,8 +43,7 @@ func entSlot(st cgroup.StoreType) int {
 //
 // ddlint:immutable-after-publish
 type epoch struct {
-	// seq increments on every publish; exported through the epoch.seq
-	// gauge so experiments can watch reconfiguration churn.
+	// seq increments on every publish; Manager.EpochSeq reports it.
 	seq    uint64
 	vms    []*epochVM // registration order, for deterministic iteration
 	vmByID map[cleancache.VMID]*epochVM
@@ -254,22 +253,8 @@ func (m *Manager) mutateEpoch(mutate func(b *epochBuilder)) *epoch {
 		mutate(b)
 	}
 	ep := b.build(m, prev.seq+1)
-	m.publishEpoch(ep)
-	return ep
-}
-
-// publishEpoch atomically installs ep as the current epoch and records
-// the epoch.* observability gauges.
-//
-// ddlint:requires-lock configMu
-func (m *Manager) publishEpoch(ep *epoch) {
 	m.epoch.Store(ep)
-	if reg := m.cfg.Metrics; reg != nil {
-		reg.Counter("epoch.swaps").Inc()
-		reg.Gauge("epoch.seq").Set(int64(ep.seq))
-		reg.Gauge("epoch.vms").Set(int64(len(ep.vms)))
-		reg.Gauge("epoch.pools").Set(int64(len(ep.pools)))
-	}
+	return ep
 }
 
 // emptyEpoch is the epoch published at construction time.

@@ -60,9 +60,8 @@ type Config struct {
 // DemotionConfig mirrors ddcache.DemotionConfig (declared independently:
 // the oracle must not import the package it checks).
 type DemotionConfig struct {
-	MaxDirtyBytes   int64
-	MaxDirtyObjects int64
-	BatchBytes      int64
+	MaxDirtyBytes int64
+	BatchBytes    int64
 }
 
 // DemotionStats mirrors ddcache.DemotionStats field-for-field, so the
@@ -106,10 +105,11 @@ type demoteEntry struct {
 }
 
 // demoteQueue mirrors ddcache's bounded write-behind ring, including its
-// refusal semantics: the ring has exactly MaxDirtyObjects slots and
-// cancelled entries occupy theirs until popped.
+// refusal semantics: the ring has exactly MaxDirtyBytes/ObjectSize
+// slots (at least 1) and cancelled entries occupy theirs until popped.
 type demoteQueue struct {
 	cfg   DemotionConfig
+	slots int64
 	ring  []demoteEntry
 	stats DemotionStats
 }
@@ -118,21 +118,15 @@ func newDemoteQueue(cfg DemotionConfig) *demoteQueue {
 	if cfg.MaxDirtyBytes <= 0 {
 		cfg.MaxDirtyBytes = 8 << 20
 	}
-	if cfg.MaxDirtyObjects <= 0 {
-		cfg.MaxDirtyObjects = cfg.MaxDirtyBytes / ObjectSize
-		if cfg.MaxDirtyObjects <= 0 {
-			cfg.MaxDirtyObjects = 1
-		}
-	}
 	if cfg.BatchBytes <= 0 {
 		cfg.BatchBytes = 2 << 20
 	}
-	return &demoteQueue{cfg: cfg}
+	return &demoteQueue{cfg: cfg, slots: max(cfg.MaxDirtyBytes/ObjectSize, 1)}
 }
 
 func (q *demoteQueue) tryEnqueue(p *pool, ob *obj) bool {
-	if int64(len(q.ring)) == q.cfg.MaxDirtyObjects ||
-		q.stats.DirtyObjects >= q.cfg.MaxDirtyObjects ||
+	if int64(len(q.ring)) == q.slots ||
+		q.stats.DirtyObjects >= q.slots ||
 		q.stats.DirtyBytes+ob.size > q.cfg.MaxDirtyBytes {
 		return false
 	}

@@ -18,7 +18,6 @@ import (
 	"doubledecker/internal/fsmodel"
 	"doubledecker/internal/guest"
 	"doubledecker/internal/hypervisor"
-	"doubledecker/internal/metrics"
 	"doubledecker/internal/sim"
 )
 
@@ -79,7 +78,6 @@ type FaultsModeResult struct {
 // stall plan installed.
 func runFaultsMode(o Opts, label string, withFaults bool) FaultsModeResult {
 	engine := sim.New(o.Seed)
-	reg := metrics.NewRegistry()
 	stallFrom, stallTo := o.scaled(ftStallFrom), o.scaled(ftStallTo)
 	var inj *fault.Injector
 	if withFaults {
@@ -90,7 +88,6 @@ func runFaultsMode(o Opts, label string, withFaults bool) FaultsModeResult {
 	host := hypervisor.New(engine, hypervisor.Config{
 		MemCacheBytes: ftMemCacheMiB * MiB,
 		SSDCacheBytes: ftSSDCacheMiB * MiB,
-		Metrics:       reg,
 		Faults:        inj,
 		Breaker: ddcache.BreakerConfig{
 			Threshold: 5,

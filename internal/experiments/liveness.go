@@ -147,9 +147,8 @@ func runLivenessMode(o Opts, label string, withFaults, deadlines bool) LivenessM
 	cfg := hypervisor.Config{
 		MemCacheBytes: lvMemCacheMiB * MiB,
 		SSDCacheBytes: lvSSDCacheMiB * MiB,
-		Metrics:       reg,
 		Faults:        inj,
-		Transport:     hypercall.Options{MaxInflightGets: lvInflightGets, MaxQueuedOps: lvQueuedOps},
+		Transport:     hypercall.Options{MaxInflightGets: lvInflightGets, MaxQueuedOps: lvQueuedOps, Metrics: reg},
 		// SSD-class guest disks: deadline fallbacks re-read from the
 		// VM's virtual disk, and the open-loop drivers would swamp the
 		// default HDD model's ~8 ms/op service rate under the stall

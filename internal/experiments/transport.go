@@ -59,8 +59,7 @@ func runTransportMode(o Opts, label string, unbatched bool) TransportModeResult 
 	// baseline — both run the read loop one probe at a time.
 	host := hypervisor.New(engine, hypervisor.Config{
 		MemCacheBytes: trMemCacheMiB * MiB,
-		Transport:     hypercall.Options{Unbatched: unbatched},
-		Metrics:       reg,
+		Transport:     hypercall.Options{Unbatched: unbatched, Metrics: reg},
 		NoPipeline:    true,
 	})
 	vm := host.NewVM(1, 256*MiB, 100)

@@ -14,7 +14,6 @@ import (
 	"doubledecker/internal/fault"
 	"doubledecker/internal/guest"
 	"doubledecker/internal/hypercall"
-	"doubledecker/internal/metrics"
 	"doubledecker/internal/policy"
 	"doubledecker/internal/sim"
 	"doubledecker/internal/store"
@@ -58,9 +57,6 @@ type Config struct {
 	// OpBudget, the per-VM admission caps MaxInflightGets and
 	// MaxQueuedOps). The zero value selects the batched defaults.
 	Transport hypercall.Options
-	// Metrics, when set, receives the transports' per-op-code latency
-	// histograms and batch telemetry, plus the SSD breaker's events.
-	Metrics *metrics.Registry
 	// NoPipeline withholds the stock pipelined-read defaults — async
 	// tagged gets, zero-copy bulk responses and the
 	// guest.DefaultReadAheadWindow window — so the one read path runs at
@@ -78,10 +74,6 @@ type Config struct {
 	// Breaker tunes the cache manager's SSD circuit breaker; the zero
 	// value keeps the defaults.
 	Breaker ddcache.BreakerConfig
-	// RemoteBreaker tunes the remote tier's circuit breaker (exists
-	// whenever RemoteCacheBytes is set); the zero value keeps the
-	// defaults.
-	RemoteBreaker ddcache.BreakerConfig
 	// WatchdogPeriod is each guest's deadline-watchdog tick period; zero
 	// with Transport.OpBudget set defaults to that budget (a waiter is
 	// failed at most one budget late).
@@ -110,9 +102,6 @@ type Host struct {
 // New builds a host with the given cache configuration.
 func New(engine *sim.Engine, cfg Config) *Host {
 	topts := cfg.Transport
-	if topts.Metrics == nil {
-		topts.Metrics = cfg.Metrics
-	}
 	if topts.Faults == nil {
 		topts.Faults = cfg.Faults
 	}
@@ -146,9 +135,7 @@ func New(engine *sim.Engine, cfg Config) *Host {
 		Mode:            cfg.Mode,
 		EvictBatchBytes: cfg.EvictBatchBytes,
 		VictimSelector:  cfg.VictimSelector,
-		Metrics:         cfg.Metrics,
 		Breaker:         cfg.Breaker,
-		RemoteBreaker:   cfg.RemoteBreaker,
 		Demotion:        cfg.Demotion,
 		MaxInflightOps:  cfg.MaxInflightOps,
 	}
@@ -162,7 +149,6 @@ func New(engine *sim.Engine, cfg Config) *Host {
 		rcfg := cfg.Remote
 		rcfg.CapacityBytes = cfg.RemoteCacheBytes
 		rcfg.Faults = cfg.Faults
-		rcfg.Metrics = cfg.Metrics
 		h.remote = remote.New(rcfg)
 		mcfg.Remote = h.remote
 	}

@@ -3,15 +3,14 @@
 // Every simulated component — cache, policy, transport, experiments —
 // must take time from the injected `now time.Duration` argument or the
 // sim engine's Now(), never from the host clock; otherwise replays stop
-// being deterministic (the bug class PR 3 fixed in ddcache/stress.go and
-// experiments/transport.go). References to time.Now, time.Since and the
-// timer constructors are therefore diagnostics except in:
+// being deterministic. References to time.Now, time.Since and the timer
+// constructors are therefore diagnostics except in:
 //
 //   - files under a cmd/ directory (CLI entry points report wall time),
-//   - _test.go files (wall-clock benchmarks),
+//   - _test.go files (wall-clock benchmarks and the scaling test),
 //   - package internal/sim (the clock source itself), and
-//   - files marked // ddlint:allow-wallclock (internal/wallclock, the
-//     injectable stopwatch every simulated component should use).
+//   - files marked // ddlint:allow-wallclock (a deliberate host-time
+//     measurement, such as bench/'s host clock).
 package clockcheck
 
 import (
@@ -73,8 +72,8 @@ func run(pass *lint.Pass) error {
 
 func report(pass *lint.Pass, pos token.Pos, name string) {
 	pass.Reportf(pos, "time.%s reads the wall clock in simulated-time code; "+
-		"thread the injected `now time.Duration` / engine.Now(), or use "+
-		"internal/wallclock for intentional wall-time measurement", name)
+		"thread the injected `now time.Duration` / engine.Now(), or measure "+
+		"wall time in a cmd/ entry point or a _test.go file", name)
 }
 
 // allowedFile reports whether the file is allowlisted by location. The

@@ -1,5 +1,5 @@
-// ddlint:allow-wallclock — this fixture file is the designated wall-clock
-// shim, mirroring internal/wallclock.
+// ddlint:allow-wallclock — this fixture file stands in for a deliberate
+// host-time measurement.
 package a
 
 import "time"

@@ -1,6 +1,6 @@
-// Package stress reproduces the real pre-fix internal/ddcache/stress.go
-// pattern: a concurrent driver timing its wall-clock phase with
-// time.Now/time.Since inside otherwise simulated-time code.
+// Package stress is the pattern clockcheck exists to catch: a concurrent
+// driver timing its wall-clock phase with time.Now/time.Since inside
+// otherwise simulated-time code.
 package stress
 
 import (

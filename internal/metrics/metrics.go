@@ -1,57 +1,25 @@
 // Package metrics provides the measurement primitives used across the
-// DoubleDecker simulator: counters, time-series samplers for occupancy
-// plots (the paper's cache-distribution figures), and latency histograms
-// for the throughput/latency tables.
+// DoubleDecker simulator: time-series samplers for occupancy plots (the
+// paper's cache-distribution figures) and latency histograms for the
+// throughput/latency tables. Counts of cache events are not kept here:
+// each component reports its own through a typed Stats snapshot
+// (PoolStats, BreakerStats, CostStats, TransportStats). A Registry
+// names the series and histograms of one run; the hypercall transport
+// records its "hypercall.batch_ops" series and "hypercall.lat.<OP>"
+// histograms into one.
 //
 // Concurrency contract: every type in this package is self-locking.
-// Counter and Gauge are single atomics; Series, Histogram and Registry
-// serialize internally with a mutex, so metrics may be recorded from the
-// cache manager's concurrent data paths without external locks.
+// Series, Histogram and Registry serialize internally with a mutex, so
+// metrics may be recorded from the cache manager's concurrent data paths
+// without external locks.
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
-
-// Counter is a monotonically increasing event count, safe for concurrent
-// use.
-type Counter struct {
-	n atomic.Int64
-}
-
-// Add increments the counter by delta; negative deltas are ignored.
-func (c *Counter) Add(delta int64) {
-	if delta > 0 {
-		c.n.Add(delta)
-	}
-}
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.n.Add(1) }
-
-// Value reports the current count.
-func (c *Counter) Value() int64 { return c.n.Load() }
-
-// Gauge is an instantaneous value that can move in both directions, safe
-// for concurrent use.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add moves the gauge by delta (may be negative).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Value reports the current gauge value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // Point is one sample of a time series.
 type Point struct {
@@ -284,45 +252,17 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 // for concurrent use: lookups share one mutex, and the returned metrics
 // self-lock.
 type Registry struct {
-	mu       sync.Mutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	series   map[string]*Series
-	hists    map[string]*Histogram
+	mu     sync.Mutex
+	series map[string]*Series
+	hists  map[string]*Histogram
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		series:   make(map[string]*Series),
-		hists:    make(map[string]*Histogram),
+		series: make(map[string]*Series),
+		hists:  make(map[string]*Histogram),
 	}
-}
-
-// Counter returns the named counter, creating it on first use.
-func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
-}
-
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
 }
 
 // Series returns the named series, creating it on first use.
@@ -347,40 +287,4 @@ func (r *Registry) Histogram(name string) *Histogram {
 		r.hists[name] = h
 	}
 	return h
-}
-
-// SeriesNames returns the sorted names of all recorded series.
-func (r *Registry) SeriesNames() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.series))
-	for n := range r.series {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Summary renders a sorted human-readable dump of counters and gauges.
-func (r *Registry) Summary() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var b strings.Builder
-	names := make([]string, 0, len(r.counters))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		fmt.Fprintf(&b, "counter %-40s %d\n", n, r.counters[n].Value())
-	}
-	names = names[:0]
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		fmt.Fprintf(&b, "gauge   %-40s %d\n", n, r.gauges[n].Value())
-	}
-	return b.String()
 }

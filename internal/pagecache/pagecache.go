@@ -8,6 +8,7 @@
 package pagecache
 
 import (
+	"slices"
 	"time"
 
 	"doubledecker/internal/blockdev"
@@ -399,7 +400,7 @@ func (c *Cache) Fsync(now time.Duration, g *cgroup.Group, f *fsmodel.File) time.
 	if len(dirtyBlocks) == 0 {
 		return 0
 	}
-	sortInt64s(dirtyBlocks)
+	slices.Sort(dirtyBlocks)
 	st := c.statsFor(g)
 	var lat time.Duration
 	runStart := dirtyBlocks[0]
@@ -617,14 +618,4 @@ func (c *Cache) OldestFilePage(g *cgroup.Group) (time.Duration, bool) {
 		return 0, false
 	}
 	return l.Back().touched, true
-}
-
-// sortInt64s is a small insertion-capable sort to avoid pulling reflect-
-// based sorting into the hot fsync path for tiny slices.
-func sortInt64s(s []int64) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

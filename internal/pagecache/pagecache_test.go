@@ -2,6 +2,7 @@ package pagecache
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -171,6 +172,39 @@ func TestFsyncCoalescesContiguousRuns(t *testing.T) {
 	delta := r.disk.Stats().Writes - writesBefore
 	if delta != 1 {
 		t.Fatalf("contiguous fsync issued %d device writes, want 1", delta)
+	}
+}
+
+// writeLog records each device write as a [first, end) block range of f.
+type writeLog struct {
+	blockdev.Device
+	f      *fsmodel.File
+	writes [][2]int64
+}
+
+func (w *writeLog) Write(now time.Duration, offset, size int64) (time.Duration, error) {
+	first := (offset - w.f.BlockOffset(0)) / fsmodel.BlockSize
+	w.writes = append(w.writes, [2]int64{first, first + size/fsmodel.BlockSize})
+	return w.Device.Write(now, offset, size)
+}
+
+// TestFsyncCoalescesScatteredDirtyBlocks dirties blocks out of order, so
+// Fsync must sort them before it can coalesce runs: one device write
+// per contiguous run, issued in ascending block order.
+func TestFsyncCoalescesScatteredDirtyBlocks(t *testing.T) {
+	f := fsmodel.NewAllocator().Alloc(16)
+	disk := &writeLog{Device: blockdev.NewHDD("vdisk"), f: f}
+	root := cgroup.NewRoot(64*mib, 0)
+	cache := New(root, nil, disk)
+	g := root.NewGroup("c1", 0, disk)
+	for _, b := range []int64{9, 1, 2, 5, 3} {
+		cache.Write(0, g, f, b, 1)
+	}
+	disk.writes = nil
+	cache.Fsync(0, g, f)
+	want := [][2]int64{{1, 4}, {5, 6}, {9, 10}}
+	if !slices.Equal(disk.writes, want) {
+		t.Fatalf("fsync device writes (block ranges) = %v, want %v", disk.writes, want)
 	}
 }
 
